@@ -314,9 +314,7 @@ def cmd_jacobi(args) -> int:
         print(f"KS distance to Beta CDF: {report.ks_distance!r}")
     print(f"split-half gap: {report.half_gap_z!r} standard errors")
     if args.out:
-        gen = rng.generator()
-        rows = [jacobi.sample_manova(params, gen) for _ in range(args.samples)]
-        write_matrix(args.out, np.array(rows))
+        write_matrix(args.out, report.draws)
     return 0
 
 

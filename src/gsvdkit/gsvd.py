@@ -112,13 +112,8 @@ class GsvdFactors:
     def s_matrix(self) -> np.ndarray:
         rows = self.v.shape[1]
         sm = np.zeros((rows, self.r))
-        for i in range(self.r):
-            if self.v_col_of[i] >= 0:
-                sm[self.v_col_of[i], i] = self.s[i]
-            else:
-                j = rows - self.r + i
-                if j >= 0:
-                    sm[j, i] = 0.0
+        idx = np.flatnonzero(self.v_col_of >= 0)
+        sm[self.v_col_of[idx], idx] = self.s[idx]
         return sm
 
     def stacked_unit_basis(self) -> np.ndarray:
@@ -172,31 +167,36 @@ class FundamentalBases:
     common_null: np.ndarray
 
 
-def _reorthonormalize(cols: np.ndarray) -> np.ndarray:
-    # cols is orthonormal up to roundoff; one QR pass pins it down without
-    # reordering or mixing directions.
-    if cols.shape[1] == 0:
-        return cols
-    q, r = np.linalg.qr(cols)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
 def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
     """Compute the GH-form GSVD of the pair (a, b).
 
-    Route: pivoted thin QR of the stacked pair gives [Qa; Qb] R with
-    orthonormal columns; an SVD Qa = U C W' yields U and the cosines
-    (singular values of an orthonormal-column submatrix lie in [0, 1]);
-    the columns of Qb W are then exactly orthogonal with norms s_i, so V
-    comes from normalizing them and completing the basis; H = W' R moved
-    back to the original column order.
+    Route: one pivoted QR of the stacked pair, cut at r, the rank read
+    from the stacked singular values, gives [Qa; Qb] R with orthonormal
+    columns; an SVD Qa = U C W' yields U and the cosines (singular values
+    of an orthonormal-column submatrix lie in [0, 1]); the columns of Qb W
+    are then exactly orthogonal with norms s_i, so V comes from one
+    complete QR of the normalized columns (the columns themselves, then
+    their orthogonal complement); H = W' R moved back to the original
+    column order.
+
+    The QR is cut at the SVD rank even where its own diagonal would say
+    otherwise, so there is no second route.  H = W' R[:r] has full row
+    rank exactly when the leading r x r block of R has a nonzero diagonal,
+    and column pivoting guarantees that: |R[r-1, r-1]| is the largest
+    column norm of the trailing block R[r-1:, r-1:], whose 2-norm is at
+    least sigma_r > 0, so |R[r-1, r-1]| >= sigma_r / sqrt(n - r + 1).  The
+    cut drops R[r:, r:], whose norm is at most sqrt(n - r) |R[r, r]|.
 
     The class sizes (how many c_i snap to 1 or 0) are fixed from the
     numerical ranks of a, b, and the stacked pair so the structure counts
     always agree with independently computed ranks.
     """
+    return _decompose(a, b, tol)[0]
+
+
+def _decompose(a, b, tol: Tolerance):
+    # gsvd_decompose, also returning the singular values of a it reads r_a
+    # from, so callers that need ||A||_2 do not factor A again.
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[1]:
@@ -214,7 +214,8 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
     smax = float(sv_st[0]) if sv_st.size else 0.0
     cut = tol.cutoff(stacked.shape, smax)
     r = int(np.count_nonzero(sv_st > cut))
-    r_a = int(np.count_nonzero(scipy.linalg.svdvals(a) > cut))
+    sv_a = scipy.linalg.svdvals(a)
+    r_a = int(np.count_nonzero(sv_a > cut))
     r_b = int(np.count_nonzero(scipy.linalg.svdvals(b) > cut))
 
     if r == 0:
@@ -223,18 +224,10 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
             c=np.zeros(0), s=np.zeros(0), h=np.zeros((0, n)),
             r=0, r_a=0, r_b=0, m1=m1, m2=m2, n=n,
             v_col_of=np.zeros(0, dtype=int),
-        )
+        ), sv_a
 
-    q, rmat, perm = matcore.thin_qr(stacked, pivoted=True, tol=tol)
-    if q.shape[1] > r:
-        q, rmat = q[:, :r], rmat[:r, :]
-    elif q.shape[1] < r:
-        # QR diagonal saw a smaller rank than the SVD; use an SVD basis instead
-        uu, sv, vv = matcore.full_svd(stacked)
-        q = uu[:, :r]
-        rmat = sv[:r, None] * vv[:, :r].T
-        perm = np.arange(n)
-    qa, qb = q[:m1], q[m1:]
+    q, rmat, perm = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
+    qa, qb = q[:m1, :r], q[m1:, :r]
 
     u, cos_raw, w = matcore.full_svd(qa)
     c = np.zeros(r)
@@ -255,21 +248,25 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
     c[mid] /= hyp
     s[mid] /= hyp
 
+    # The normalized columns are orthonormal up to roundoff; one complete
+    # QR pins them down without reordering or mixing directions and
+    # supplies the orthogonal complement in the same pass.
     nz = np.arange(n_inf, r)
     denom = np.where(s[nz] > 0, s[nz], 1.0)
-    vecs = _reorthonormalize(qbw[:, nz] / denom)
-    v = np.hstack([matcore.complete_basis(vecs), vecs])
+    full, tri = np.linalg.qr(qbw[:, nz] / denom, mode="complete")
+    full[:, :r_b] *= np.where(np.diag(tri) < 0, -1.0, 1.0)
+    v = np.hstack([full[:, r_b:], full[:, :r_b]])
     v_col_of = np.full(r, -1, dtype=int)
     v_col_of[nz] = (m2 - r_b) + np.arange(r_b)
 
-    h = w.T @ rmat
+    h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
 
     return GsvdFactors(
         u=u, v=v, c=c, s=s, h=h,
         r=r, r_a=r_a, r_b=r_b, m1=m1, m2=m2, n=n,
         v_col_of=v_col_of,
-    )
+    ), sv_a
 
 
 def structure_counts(f: GsvdFactors) -> CsStructure:
@@ -361,18 +358,12 @@ def rq_drilldown(f: GsvdFactors):
     if f.r == 0:
         return np.zeros((0, 0)), np.eye(f.n)
     rfac, qfac = scipy.linalg.rq(f.h, mode="full")
-    t = rfac[:, f.n - f.r:].copy()
-    q = qfac.T.copy()
-    for j in range(f.r):
-        if t[j, j] < 0:
-            t[:, j] = -t[:, j]
-            q[:, f.n - f.r + j] = -q[:, f.n - f.r + j]
-    for j in range(f.n - f.r):
-        col = q[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size and col[idx[0]] < 0:
-            q[:, j] = -col
-    return t, q
+    k = f.n - f.r
+    t = rfac[:, k:]
+    q = qfac.T
+    r_signs = np.where(np.diag(t) < 0, -1.0, 1.0)
+    signs = np.concatenate([matcore._leading_signs(q[:, :k]), r_signs])
+    return t * r_signs, q * signs
 
 
 def rank_reduce(f: GsvdFactors, a, b, k: int):
@@ -385,10 +376,14 @@ def rank_reduce(f: GsvdFactors, a, b, k: int):
     b = as_matrix(b)
     if a.shape != (f.m1, f.n) or b.shape != (f.m2, f.n):
         raise DimensionMismatch("matrix shapes do not match the factors")
+    return _leading_terms(f, k)
+
+
+def _leading_terms(f: GsvdFactors, k: int):
+    # (A_k, B_k) from the first k terms of [A; B] = sum_i g_i h_i'.
     if not 0 <= k <= f.r:
         raise RankOutOfRange(f"k must be in [0, {f.r}], got {k}")
-    g = f.stacked_unit_basis()
-    approx = g[:, :k] @ f.h[:k, :]
+    approx = f.stacked_unit_basis()[:, :k] @ f.h[:k, :]
     return approx[: f.m1], approx[f.m1:]
 
 

@@ -14,7 +14,7 @@ evaluates for any beta > 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -85,7 +85,11 @@ class SeededRng:
 
 @dataclass(frozen=True)
 class EmpiricalReport:
-    """Monte Carlo summary; compares equal iff every statistic matches."""
+    """Monte Carlo summary; compares equal iff every statistic matches.
+
+    `draws` holds the sampled configurations, one row per sample, and takes
+    no part in comparison or repr.
+    """
 
     m1: int
     m2: int
@@ -97,6 +101,7 @@ class EmpiricalReport:
     ks_distance: float | None
     half_means: tuple[float, float]
     half_gap_z: float
+    draws: np.ndarray = field(compare=False, repr=False)
 
 
 def manova_matrix(a: np.ndarray, b: np.ndarray, symmetric: bool = True) -> np.ndarray:
@@ -204,4 +209,5 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
         m1=params.m1, m2=params.m2, n=params.n, beta=params.beta,
         n_samples=n_samples, mean_sum=mean_sum, se_sum=se_sum,
         ks_distance=ks, half_means=(m1_half, m2_half), half_gap_z=gap_z,
+        draws=draws,
     )

@@ -74,13 +74,17 @@ class Tolerance:
         return max(rel * float(sigma_max), self.abs)
 
 
+def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
+    # Count of descending singular values sv above the cutoff; 0 when all vanish.
+    if sv.size == 0 or sv[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
+
+
 def numerical_rank(m, tol: Tolerance = Tolerance()) -> int:
     """Count singular values above the tolerance cutoff; 0 for the zero matrix."""
     m = as_matrix(m)
-    sv = scipy.linalg.svdvals(m)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol.cutoff(m.shape, sv[0])))
+    return _rank_of(scipy.linalg.svdvals(m), m.shape, tol)
 
 
 def thin_qr(m, pivoted: bool = False, tol: Tolerance = Tolerance()):
@@ -108,22 +112,12 @@ def thin_qr(m, pivoted: bool = False, tol: Tolerance = Tolerance()):
     return q, r, np.asarray(perm, dtype=int)
 
 
-def _fix_column_signs(u: np.ndarray, v: np.ndarray | None, paired: int) -> None:
-    # Deterministic orientation: leading significant entry of each u column
-    # is made nonnegative; the first `paired` columns of v flip in tandem.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size and col[idx[0]] < 0:
-            u[:, j] = -col
-            if v is not None and j < paired:
-                v[:, j] = -v[:, j]
-    if v is not None:
-        for j in range(paired, v.shape[1]):
-            col = v[:, j]
-            idx = np.flatnonzero(np.abs(col) > 1e-12)
-            if idx.size and col[idx[0]] < 0:
-                v[:, j] = -col
+def _leading_signs(x: np.ndarray) -> np.ndarray:
+    # Column signs (+1 or -1) making each column's leading significant entry
+    # (first with magnitude above 1e-12) nonnegative.  A column with no such
+    # entry reads row 0, which is then insignificant and keeps sign +1.
+    lead = x[np.argmax(np.abs(x) > 1e-12, axis=0), np.arange(x.shape[1])]
+    return np.where(lead < -1e-12, -1.0, 1.0)
 
 
 def full_svd(m):
@@ -134,9 +128,14 @@ def full_svd(m):
     """
     m = as_matrix(m)
     u, sigma, vt = np.linalg.svd(m, full_matrices=True)
+    # Deterministic orientation: the first min(rows, cols) columns of v
+    # flip in tandem with their u columns, the rest are oriented alone.
     v = vt.T.copy()
-    u = u.copy()
-    _fix_column_signs(u, v, paired=sigma.size)
+    u_signs = _leading_signs(u)
+    v_signs = _leading_signs(v)
+    v_signs[: sigma.size] = u_signs[: sigma.size]
+    u *= u_signs
+    v *= v_signs
     return u, sigma, v
 
 
@@ -144,34 +143,28 @@ def pinv(m, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared rank tolerance."""
     m = as_matrix(m)
     u, sigma, v = full_svd(m)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    cut = tol.cutoff(m.shape, sigma[0])
-    keep = sigma > cut
-    inv = np.zeros_like(sigma)
-    inv[keep] = 1.0 / sigma[keep]
-    k = sigma.size
-    return (v[:, :k] * inv) @ u[:, :k].T
+    return _svd_pinv(u, sigma, v, _rank_of(sigma, m.shape, tol))
+
+
+def _svd_pinv(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    # Pseudoinverse from the SVD (u, sigma, v) kept to its leading k terms.
+    return (v[:, :k] * (1.0 / sigma[:k])) @ u[:, :k].T
 
 
 def orth_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Orthonormal basis (columns) for the column space of m."""
     m = as_matrix(m)
     u, sigma, _ = full_svd(m)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return np.zeros((m.shape[0], 0))
-    k = int(np.count_nonzero(sigma > tol.cutoff(m.shape, sigma[0])))
-    return u[:, :k]
+    return u[:, : _rank_of(sigma, m.shape, tol)]
 
 
 def nullspace_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Orthonormal basis (columns) for the nullspace of m."""
     m = as_matrix(m)
-    u, sigma, v = full_svd(m)
-    if sigma.size == 0 or sigma[0] <= 0.0:
+    _, sigma, v = full_svd(m)
+    if sigma[0] <= 0.0:
         return np.eye(m.shape[1])
-    k = int(np.count_nonzero(sigma > tol.cutoff(m.shape, sigma[0])))
-    return v[:, k:]
+    return v[:, _rank_of(sigma, m.shape, tol):]
 
 
 def complete_basis(q) -> np.ndarray:

@@ -11,6 +11,7 @@ that approach infinite values through finite ones.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     NoAugmentationNeeded,
     NumericalCheckFailed,
 )
-from .gsvd import GsvdFactors, gsvd_decompose
+from .gsvd import GsvdFactors, _decompose
 from .matcore import Tolerance, as_matrix
 
 __all__ = [
@@ -135,18 +136,23 @@ def horizontal_projector(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> 
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    m1 = f.m1
     nb = matcore.nullspace_basis(b, tol)
+    a_norm = float(scipy.linalg.svdvals(a)[0]) if nb.shape[1] else 0.0
+    return _projector(f, a, a_norm, nb, tol)
+
+
+def _projector(f: GsvdFactors, a: np.ndarray, a_norm: float, nb: np.ndarray,
+               tol: Tolerance) -> HorizontalProjector:
+    # horizontal_projector given ||A||_2 and an orthonormal basis nb of null(B)
+    m1 = f.m1
     if nb.shape[1] == 0:
         p = np.eye(m1)
         kept = m1
     else:
-        an = a @ nb
         # N has unit columns, so sigma(AN) <= sigma_max(A): judge which
         # directions are real against A's scale, not AN's own
-        uan, sv, _ = matcore.full_svd(an)
-        a_scale = scipy.linalg.svdvals(a)[0] if a.size else 0.0
-        k = int(np.count_nonzero(sv > tol.cutoff(a.shape, a_scale)))
+        uan, sv, _ = matcore.full_svd(a @ nb)
+        k = int(np.count_nonzero(sv > tol.cutoff(a.shape, a_norm)))
         qan = uan[:, :k]
         p = np.eye(m1) - qan @ qan.T
         kept = m1 - k
@@ -173,29 +179,23 @@ def quotient_check(a, b, tol: Tolerance = Tolerance()):
         raise DimensionMismatch(
             f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
         )
-    f = gsvd_decompose(a, b, tol)
-    proj = horizontal_projector(f, a, b, tol)
-    bdag = matcore.pinv(b, tol)
-    abdag = a @ bdag
+    # one factorization of each input serves the GSVD, the projector and A B^+
+    f, sv_a = _decompose(a, b, tol)
+    a_norm = float(sv_a[0])
+    ub, sv_b, vb = matcore.full_svd(b)
+    k_b = matcore._rank_of(sv_b, b.shape, tol)
+    proj = _projector(f, a, a_norm, vb[:, k_b:], tol)
+    abdag = a @ matcore._svd_pinv(ub, sv_b, vb, k_b)
     # entries of A B^+ carry absolute noise ~ eps ||A|| ||B^+||; singular
     # values below that floor are indistinguishable from zero
-    floor = (
-        matcore.EPS * max(max(a.shape), max(b.shape))
-        * _spectral_norm(a) * _spectral_norm(bdag)
-    )
+    bdag_norm = 1.0 / sv_b[k_b - 1] if k_b else 0.0
+    floor = matcore.EPS * max(max(a.shape), max(b.shape)) * a_norm * bdag_norm
     sv_ab = _nonzero(scipy.linalg.svdvals(abdag), abdag.shape, tol, floor)
     pab = proj.p @ abdag
     sv_pab = _nonzero(scipy.linalg.svdvals(pab), pab.shape, tol, floor)
     finite = (f.s > 0) & (f.c > 0)
     gsv = np.sort(f.c[finite] / f.s[finite])[::-1]
     return gsv, sv_pab, sv_ab
-
-
-def _spectral_norm(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    sv = scipy.linalg.svdvals(m)
-    return float(sv[0]) if sv.size else 0.0
 
 
 def _nonzero(sv: np.ndarray, shape, tol: Tolerance, floor: float = 0.0) -> np.ndarray:
@@ -221,23 +221,18 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
             f"m2 = {f.m2} < r = {f.r}; zero-pad B with augment_rows first"
         )
     zero_s = f.s == 0
-    c_eps = np.where(zero_s, np.cos(epsilon), f.c)
-    s_eps = np.where(zero_s, np.sin(epsilon), f.s)
-    cm = np.zeros((f.m1, f.r))
-    k = min(f.m1, f.r)
-    cm[np.arange(k), np.arange(k)] = c_eps[:k]
-    sm = np.zeros((f.m2, f.r))
-    used = set(int(j) for j in f.v_col_of if j >= 0)
-    for i in range(f.r):
-        if f.v_col_of[i] >= 0:
-            j = int(f.v_col_of[i])
-        else:
-            j = f.m2 - f.r + i  # lands in the completion block under the bottom convention
-            if j in used:
-                raise ValueError("limit_curve expects bottom-aligned factors")
-        sm[j, i] = s_eps[i]
-    a_eps = f.u @ cm @ f.h
-    b_eps = f.v @ sm @ f.h
+    # the (1, 0) pairs get the sine slots of the completion block under the
+    # bottom convention, which must not hold any v_i already
+    v_col_of = np.where(zero_s, f.m2 - f.r + np.arange(f.r), f.v_col_of)
+    if np.isin(v_col_of[zero_s], f.v_col_of).any():
+        raise ValueError("limit_curve expects bottom-aligned factors")
+    stacked = dataclasses.replace(
+        f,
+        c=np.where(zero_s, np.cos(epsilon), f.c),
+        s=np.where(zero_s, np.sin(epsilon), f.s),
+        v_col_of=v_col_of,
+    ).reconstruct()
+    a_eps, b_eps = stacked[: f.m1], stacked[f.m1:]
     return LimitCurve(epsilon=epsilon, a_eps=a_eps, b_eps=b_eps)
 
 

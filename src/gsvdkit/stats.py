@@ -16,10 +16,9 @@ from .errors import (
     DegenerateData,
     DimensionMismatch,
     InvalidPartition,
-    RankOutOfRange,
     ZeroWithin,
 )
-from .gsvd import GsvdFactors, gsvd_decompose, rq_drilldown
+from .gsvd import GsvdFactors, _leading_terms, gsvd_decompose, rq_drilldown
 from .matcore import EPS, Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -176,12 +175,9 @@ def apportion(
 
 def reconstruct_terms(f: GsvdFactors, k: int):
     """Partial sums of the outer-product expansion: first k terms of
-    [A; B] = sum_i [u_i c_i; v_i s_i] h_i'.  Returns (A_k, B_k)."""
-    if not 0 <= k <= f.r:
-        raise RankOutOfRange(f"k must be in [0, {f.r}], got {k}")
-    g = f.stacked_unit_basis()
-    approx = g[:, :k] @ f.h[:k, :]
-    return approx[: f.m1], approx[f.m1:]
+    [A; B] = sum_i [u_i c_i; v_i s_i] h_i'.  Returns (A_k, B_k); this is
+    `rank_reduce` without the input shape check."""
+    return _leading_terms(f, k)
 
 
 def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance(),

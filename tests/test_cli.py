@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsvdkit import cli
+from gsvdkit import cli, jacobi
 
 
 def write_csv(path, rows):
@@ -242,6 +242,20 @@ class TestJacobiCommand:
         assert cli.main(args + ["--out", out1]) == 0
         assert cli.main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_out_file_is_the_sampled_stream(self, tmp_path):
+        # the written draws are the ones the statistics were computed from:
+        # a replay of the seeded stream, one sample per row
+        out = str(tmp_path / "draws.csv")
+        assert cli.main(["jacobi", "--m1", "4", "--m2", "3", "--n", "2",
+                         "--beta", "2", "--samples", "1000", "--seed", "23",
+                         "--out", out]) == 0
+        params = jacobi.JacobiParams(m1=4, m2=3, n=2, beta=2)
+        gen = jacobi.SeededRng(23).generator()
+        replay = str(tmp_path / "replay.csv")
+        cli.write_matrix(replay, np.array(
+            [jacobi.sample_manova(params, gen) for _ in range(1000)]))
+        assert open(out, "rb").read() == open(replay, "rb").read()
 
     def test_reports_ks_for_scalar(self, capsys):
         assert cli.main(["jacobi", "--m1", "3", "--m2", "5", "--n", "1",

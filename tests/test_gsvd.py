@@ -126,33 +126,40 @@ class TestDecompose:
 
 
 class TestQrSvdRankDisagreement:
-    def test_falls_back_to_svd_basis(self):
-        # 7x6 draw where an absolute threshold of 2.08657 sits between the
-        # second R-diagonal entry of the pivoted QR and the second singular
-        # value, so the QR truncation sees rank 1 while the SVD says 2
+    # 7x6 draw and absolute thresholds on which the pivoted-QR diagonal and
+    # the singular values disagree about the rank: 2.08657 sits between the
+    # second R-diagonal entry and the second singular value (QR sees rank 1,
+    # the SVD 2); 1.04 sits between the fifth singular value and the fifth
+    # R-diagonal entry (QR sees rank 5, the SVD 4).  The factorization is
+    # cut at the SVD rank either way.
+    @pytest.mark.parametrize(
+        "cut, qr_rank, svd_rank",
+        [(2.086570, 1, 2), (1.04, 5, 4)],
+        ids=["qr_rank_below_svd", "qr_rank_above_svd"],
+    )
+    def test_truncates_at_svd_rank(self, cut, qr_rank, svd_rank):
         gen = np.random.default_rng(0)
         m = int(gen.integers(3, 8))
         n = int(gen.integers(3, 8))
         stacked = gen.standard_normal((m, n))
-        tol = Tolerance(rel=0.0, abs=2.086570)
+        tol = Tolerance(rel=0.0, abs=cut)
         q, r_up, _ = matcore.thin_qr(stacked, pivoted=True, tol=tol)
         sv = np.linalg.svd(stacked, compute_uv=False)
-        assert q.shape[1] == 1
-        assert int(np.count_nonzero(sv > 2.086570)) == 2
+        assert q.shape[1] == qr_rank
+        assert int(np.count_nonzero(sv > cut)) == svd_rank
 
         f = gsvd.gsvd_decompose(stacked[:3], stacked[3:], tol)
-        assert f.r == 2
+        assert f.r == svd_rank
         np.testing.assert_allclose(f.u.T @ f.u, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(f.v.T @ f.v, np.eye(4), atol=1e-12)
         assert np.max(np.abs(f.c**2 + f.s**2 - 1)) <= 1e-13
-        assert matcore.numerical_rank(f.h) == 2
+        assert matcore.numerical_rank(f.h) == svd_rank
         # class sizes still follow the (aggressively) thresholded ranks
-        cut = 2.086570
         assert f.r_a == int(np.sum(np.linalg.svd(stacked[:3], compute_uv=False) > cut))
         assert f.r_b == int(np.sum(np.linalg.svd(stacked[3:], compute_uv=False) > cut))
         # such a cutoff discards real signal, so the rebuild is only a
         # structured approximation bounded by what was thrown away
-        dropped = np.sqrt(np.sum(sv[2:] ** 2))
+        dropped = np.sqrt(np.sum(sv[svd_rank:] ** 2))
         assert np.linalg.norm(f.reconstruct() - stacked) <= dropped + 2 * cut
 
 

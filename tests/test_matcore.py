@@ -127,6 +127,18 @@ class TestFullSvd:
             lead = u1[np.flatnonzero(np.abs(u1[:, j]) > 1e-12)[0], j]
             assert lead >= 0
 
+    def test_leading_signs_match_column_loop(self, rng):
+        # entries at and around the 1e-12 significance threshold, signed zeros
+        values = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12, 0.5, -0.5])
+        for _ in range(200):
+            x = rng.choice(values, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+            expected = np.ones(x.shape[1])
+            for j in range(x.shape[1]):
+                idx = np.flatnonzero(np.abs(x[:, j]) > 1e-12)
+                if idx.size and x[idx[0], j] < 0:
+                    expected[j] = -1.0
+            np.testing.assert_array_equal(matcore._leading_signs(x), expected)
+
 
 class TestPinv:
     def test_row_vector(self):
