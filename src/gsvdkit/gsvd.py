@@ -175,9 +175,10 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
     columns; an SVD Qa = U C W' yields U and the cosines (singular values
     of an orthonormal-column submatrix lie in [0, 1]); the columns of Qb W
     are then exactly orthogonal with norms s_i, so V comes from one
-    complete QR of the normalized columns (the columns themselves, then
-    their orthogonal complement); H = W' R moved back to the original
-    column order.
+    Householder QR of the normalized columns, whose blocked reflectors,
+    applied to a column-rotated identity, give the orthogonal complement
+    followed by the columns themselves; H = W' R moved back to the
+    original column order.
 
     The QR is cut at the SVD rank even where its own diagonal would say
     otherwise, so there is no second route.  H = W' R[:r] has full row
@@ -210,13 +211,13 @@ def _decompose(a, b, tol: Tolerance):
     # One cutoff for all three rank decisions, anchored at the scale of the
     # stacked pair: a block that is pure roundoff relative to the other is
     # rank zero here even though it is "full rank" at its own scale.
-    sv_st = scipy.linalg.svdvals(stacked)
+    sv_st = matcore._svdvals(stacked)
     smax = float(sv_st[0]) if sv_st.size else 0.0
     cut = tol.cutoff(stacked.shape, smax)
     r = int(np.count_nonzero(sv_st > cut))
-    sv_a = scipy.linalg.svdvals(a)
+    sv_a = matcore._svdvals(a)
     r_a = int(np.count_nonzero(sv_a > cut))
-    r_b = int(np.count_nonzero(scipy.linalg.svdvals(b) > cut))
+    r_b = int(np.count_nonzero(matcore._svdvals(b) > cut))
 
     if r == 0:
         return GsvdFactors(
@@ -248,16 +249,23 @@ def _decompose(a, b, tol: Tolerance):
     c[mid] /= hyp
     s[mid] /= hyp
 
-    # The normalized columns are orthonormal up to roundoff; one complete
+    # The normalized columns are orthonormal up to roundoff; one Householder
     # QR pins them down without reordering or mixing directions and
-    # supplies the orthogonal complement in the same pass.
+    # supplies the orthogonal complement in the same pass.  Applying its Q
+    # to the identity with columns rotated left by r_b gives
+    # V = [complement | Q[:, :r_b]] directly.
     nz = np.arange(n_inf, r)
-    denom = np.where(s[nz] > 0, s[nz], 1.0)
-    full, tri = np.linalg.qr(qbw[:, nz] / denom, mode="complete")
-    full[:, :r_b] *= np.where(np.diag(tri) < 0, -1.0, 1.0)
-    v = np.hstack([full[:, r_b:], full[:, :r_b]])
     v_col_of = np.full(r, -1, dtype=int)
     v_col_of[nz] = (m2 - r_b) + np.arange(r_b)
+    if r_b == 0:
+        v = np.eye(m2)
+    else:
+        denom = np.where(s[nz] > 0, s[nz], 1.0)
+        rotated = np.zeros((m2, m2), order="F")
+        np.fill_diagonal(rotated[r_b:], 1.0)
+        np.fill_diagonal(rotated[:, m2 - r_b:], 1.0)
+        v, diag_r = matcore._qr_apply(qbw[:, nz] / denom, rotated)
+        v[:, m2 - r_b:] *= np.where(diag_r < 0, -1.0, 1.0)
 
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "EPS",
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(np.float64).eps)
+
+# Block size of the compact-WY Householder QR in `_qr_apply`.
+_QR_BLOCK = 32
 
 
 def as_matrix(a) -> np.ndarray:
@@ -81,10 +85,17 @@ def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
     return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
 
 
+def _svdvals(x: np.ndarray) -> np.ndarray:
+    # Singular values, descending.  np.linalg.svdvals needs NumPy 2.0, and
+    # scipy.linalg.svdvals spends more time in its wrapper than in LAPACK
+    # on small inputs.
+    return np.linalg.svd(x, compute_uv=False)
+
+
 def numerical_rank(m, tol: Tolerance = Tolerance()) -> int:
     """Count singular values above the tolerance cutoff; 0 for the zero matrix."""
     m = as_matrix(m)
-    return _rank_of(scipy.linalg.svdvals(m), m.shape, tol)
+    return _rank_of(_svdvals(m), m.shape, tol)
 
 
 def thin_qr(m, pivoted: bool = False, tol: Tolerance = Tolerance()):
@@ -120,17 +131,49 @@ def _leading_signs(x: np.ndarray) -> np.ndarray:
     return np.where(lead < -1e-12, -1.0, 1.0)
 
 
+def _qr_apply(x: np.ndarray, c: np.ndarray):
+    # (Q @ c, diag(R)) for the Householder QR x = Q R of a tall x (rows >=
+    # cols >= 1).  The reflectors are kept in compact-WY form (dgeqrt) and
+    # applied in blocks (dgemqrt), so Q is never formed and the work is
+    # matrix-matrix even when x has few columns.  A Fortran-ordered float64
+    # c is overwritten in place.
+    refl, t, info = lapack.dgeqrt(min(x.shape[1], _QR_BLOCK), x)
+    if info == 0:
+        c, info = lapack.dgemqrt(refl, t, c, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"Householder QR failed: LAPACK info {info}")
+    return c, np.diag(refl).copy()
+
+
+def _completed(q: np.ndarray) -> np.ndarray:
+    # [q | complete_basis(q)] for q with 1 <= k <= m orthonormal columns,
+    # square, with the completion written in place into one buffer.
+    m, k = q.shape
+    out = np.zeros((m, m), order="F")
+    out[:, :k] = q
+    if k < m:
+        np.fill_diagonal(out[k:, k:], 1.0)
+        _qr_apply(q, out[:, k:])
+    return out
+
+
 def full_svd(m):
     """Full SVD m = u @ Sigma @ v.T with square orthogonal u, v.
 
     Returns (u, sigma, v) with sigma descending of length min(rows, cols).
-    Column signs are normalized so factorizations are deterministic.
+    A thin SVD supplies the singular vectors; the longer side's factor is
+    completed to a square one by `complete_basis`.  Column signs are
+    normalized so factorizations are deterministic.
     """
     m = as_matrix(m)
-    u, sigma, vt = np.linalg.svd(m, full_matrices=True)
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt.T
+    if m.shape[0] > m.shape[1]:
+        u = _completed(u)
+    elif m.shape[0] < m.shape[1]:
+        v = _completed(v)
     # Deterministic orientation: the first min(rows, cols) columns of v
     # flip in tandem with their u columns, the rest are oriented alone.
-    v = vt.T.copy()
     u_signs = _leading_signs(u)
     v_signs = _leading_signs(v)
     v_signs[: sigma.size] = u_signs[: sigma.size]
@@ -170,7 +213,8 @@ def nullspace_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
 def complete_basis(q) -> np.ndarray:
     """Orthonormal completion: columns spanning the complement of col(q).
 
-    q must have (numerically) orthonormal columns.
+    q must have (numerically) orthonormal columns.  The completion is
+    Q [0; I] for the Householder QR of q, formed without forming Q.
     """
     q = np.asarray(q, dtype=np.float64)
     m, k = q.shape
@@ -178,5 +222,6 @@ def complete_basis(q) -> np.ndarray:
         return np.eye(m)
     if k >= m:
         return np.zeros((m, 0))
-    full, _ = np.linalg.qr(q, mode="complete")
-    return full[:, k:]
+    out = np.zeros((m, m - k), order="F")
+    np.fill_diagonal(out[k:], 1.0)
+    return _qr_apply(q, out)[0]

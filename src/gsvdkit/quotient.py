@@ -15,7 +15,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .errors import (
@@ -102,8 +101,8 @@ def trig_table(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> TrigTable:
     rows = []
 
     if f.r:
-        cos_sv = scipy.linalg.svdvals(a @ hdag)
-        sin_sv = scipy.linalg.svdvals(b @ hdag)
+        cos_sv = matcore._svdvals(a @ hdag)
+        sin_sv = matcore._svdvals(b @ hdag)
     else:
         cos_sv = np.zeros(0)
         sin_sv = np.zeros(0)
@@ -111,14 +110,14 @@ def trig_table(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> TrigTable:
     rows.append(TrigRow("sin", True, f.s.copy(), sin_sv, _compare(f.s, sin_sv)))
 
     if f.r == f.r_a:
-        tan_sv = scipy.linalg.svdvals(b @ matcore.pinv(a, tol))
+        tan_sv = matcore._svdvals(b @ matcore.pinv(a, tol))
         tans = f.s[f.c > 0] / f.c[f.c > 0]
         rows.append(TrigRow("tan", True, tans, tan_sv, _compare(tans, tan_sv)))
     else:
         rows.append(TrigRow("tan", False, note=f"needs r = r_a, have r = {f.r}, r_a = {f.r_a}"))
 
     if f.r == f.r_b:
-        cot_sv = scipy.linalg.svdvals(a @ matcore.pinv(b, tol))
+        cot_sv = matcore._svdvals(a @ matcore.pinv(b, tol))
         cots = f.c[f.s > 0] / f.s[f.s > 0]
         rows.append(TrigRow("cot", True, cots, cot_sv, _compare(cots, cot_sv)))
     else:
@@ -137,7 +136,7 @@ def horizontal_projector(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> 
     a = as_matrix(a)
     b = as_matrix(b)
     nb = matcore.nullspace_basis(b, tol)
-    a_norm = float(scipy.linalg.svdvals(a)[0]) if nb.shape[1] else 0.0
+    a_norm = float(matcore._svdvals(a)[0]) if nb.shape[1] else 0.0
     return _projector(f, a, a_norm, nb, tol)
 
 
@@ -190,9 +189,9 @@ def quotient_check(a, b, tol: Tolerance = Tolerance()):
     # values below that floor are indistinguishable from zero
     bdag_norm = 1.0 / sv_b[k_b - 1] if k_b else 0.0
     floor = matcore.EPS * max(max(a.shape), max(b.shape)) * a_norm * bdag_norm
-    sv_ab = _nonzero(scipy.linalg.svdvals(abdag), abdag.shape, tol, floor)
+    sv_ab = _nonzero(matcore._svdvals(abdag), abdag.shape, tol, floor)
     pab = proj.p @ abdag
-    sv_pab = _nonzero(scipy.linalg.svdvals(pab), pab.shape, tol, floor)
+    sv_pab = _nonzero(matcore._svdvals(pab), pab.shape, tol, floor)
     finite = (f.s > 0) & (f.c > 0)
     gsv = np.sort(f.c[finite] / f.s[finite])[::-1]
     return gsv, sv_pab, sv_ab

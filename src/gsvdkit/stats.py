@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .errors import (
@@ -159,7 +158,7 @@ def apportion(
         for t in angles
     )
     if f.r:
-        sv = scipy.linalg.svdvals(f.h)
+        sv = matcore._svdvals(f.h)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         norms = np.linalg.norm(f.h, axis=1)
         unit = f.h / norms[:, None]

@@ -122,8 +122,9 @@ def solve_path(p: TikhonovProblem, lambdas, tol: Tolerance = Tolerance()):
     if matcore.numerical_rank(h0, tol) < p.n:
         raise SingularH("H0 is numerically singular")
     lu = scipy.linalg.lu_factor(h0)
-    x0 = np.linalg.lstsq(p.a, p.b, rcond=None)[0]
-    y0 = h0 @ x0
+    # A = U H0 with orthonormal U and invertible H0, so the least-squares
+    # solution x0 has H0 x0 = U' b.
+    y0 = f.u.T @ p.b
     out = []
     for lam in lambdas:
         if lam < 0:

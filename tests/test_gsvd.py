@@ -125,6 +125,36 @@ class TestDecompose:
             assert int(np.sum(f.c == 0)) == f.r - f.r_a
 
 
+class TestTallB:
+    # B far taller than n: V is m2 x m2 with only r_b columns fixed by the
+    # data, the rest a completion.
+    @pytest.mark.parametrize("rank_b", [20, 7, 0])
+    def test_bottom_aligned_v(self, rng, rank_b):
+        a = rng.standard_normal((20, 20))
+        if rank_b:
+            _, b = random_pair(rng, 20, 600, 20, rank_b=rank_b)
+        else:
+            b = np.zeros((600, 20))
+        f = gsvd.gsvd_decompose(a, b)
+        assert (f.r, f.r_a, f.r_b) == (20, 20, rank_b)
+        check_factor_invariants(f, a, b)
+        nz = np.flatnonzero(f.s > 0)
+        assert nz.size == rank_b
+        np.testing.assert_array_equal(f.v_col_of[nz], 600 - rank_b + np.arange(rank_b))
+        assert np.all(f.v_col_of[f.s == 0] == -1)
+        if rank_b == 0:
+            np.testing.assert_array_equal(f.v, np.eye(600))
+            return
+        # the last r_b columns span col(B); the others are orthogonal to it
+        scale = np.linalg.norm(b, 2)
+        vb = f.v[:, 600 - rank_b:]
+        assert np.linalg.norm(b - vb @ (vb.T @ b)) <= 1e-12 * scale
+        assert np.max(np.abs(f.v[:, : 600 - rank_b].T @ b)) <= 1e-12 * scale
+        # B = V S H with each v_i at the column v_col_of records
+        b_rows = f.reconstruct()[20:]
+        assert np.linalg.norm(b_rows - b) <= 1e-12 * scale
+
+
 class TestQrSvdRankDisagreement:
     # 7x6 draw and absolute thresholds on which the pivoted-QR diagonal and
     # the singular values disagree about the rank: 2.08657 sits between the

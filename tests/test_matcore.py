@@ -140,6 +140,43 @@ class TestFullSvd:
             np.testing.assert_array_equal(matcore._leading_signs(x), expected)
 
 
+# Reflector counts on both sides of the compact-WY block size (32) and of
+# a few multiples of it.
+REFLECTOR_COUNTS = [1, 31, 32, 33, 127, 128, 129]
+
+
+class TestBlockedCompletions:
+    @pytest.mark.parametrize("k", REFLECTOR_COUNTS)
+    def test_complete_basis(self, rng, k):
+        q = random_orthonormal(rng, k + 37, k)
+        comp = matcore.complete_basis(q)
+        assert comp.shape == (k + 37, 37)
+        np.testing.assert_allclose(comp.T @ comp, np.eye(37), atol=1e-12)
+        assert np.max(np.abs(q.T @ comp)) <= 1e-12
+
+    @pytest.mark.parametrize("k", REFLECTOR_COUNTS)
+    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+    def test_full_svd(self, rng, k, tall):
+        m = rng.standard_normal((k + 37, k) if tall else (k, k + 37))
+        u, sigma, v = matcore.full_svd(m)
+        assert u.shape == (m.shape[0],) * 2 and v.shape == (m.shape[1],) * 2
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[0]), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(v.shape[0]), atol=1e-12)
+        scale = np.linalg.norm(m, 2)
+        # the completed columns are orthogonal to the input
+        if tall:
+            assert np.max(np.abs(u[:, k:].T @ m)) <= 1e-12 * scale
+        else:
+            assert np.max(np.abs(m @ v[:, k:])) <= 1e-12 * scale
+        np.testing.assert_allclose(sigma, np.linalg.svd(m, compute_uv=False),
+                                   rtol=0, atol=1e-12 * scale)
+        resid = np.linalg.norm(m - (u[:, :k] * sigma) @ v[:, :k].T)
+        assert resid <= 1e-12 * scale * max(m.shape)
+
+    def test_complete_basis_of_square_is_empty(self, rng):
+        assert matcore.complete_basis(random_orthonormal(rng, 5, 5)).shape == (5, 0)
+
+
 class TestPinv:
     def test_row_vector(self):
         # B'/||B||^2 for a single row
