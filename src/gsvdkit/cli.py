@@ -158,11 +158,9 @@ def cmd_gsvd(args) -> int:
     a = read_matrix(args.a, args.header)
     b = read_matrix(args.b, args.header)
     tol = _tol_from_args(args)
-    f = gsvd.gsvd_decompose(a, b, tol)
+    f = gsvd.gsvd_decompose(a, b, tol, compact=args.compact)
     if args.convention == "top":
         f = gsvd.with_top_convention(f)
-    if args.compact:
-        f = gsvd.compact(f)
     doc = factors_to_document(f, tol, args.convention)
     print(f"m1={f.m1} m2={f.m2} n={f.n}  r={f.r} ra={f.r_a} rb={f.r_b}")
     c = doc["structure"]

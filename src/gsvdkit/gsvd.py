@@ -136,6 +136,20 @@ class GsvdFactors:
             return self.v[:, self.v_col_of[i]].copy()
         return np.zeros(self.v.shape[0])
 
+    def u_dirs(self) -> np.ndarray:
+        """[u_dir(0) ... u_dir(r - 1)] as one m1 x r matrix, in either format."""
+        out = np.zeros((self.m1, self.r))
+        idx = np.flatnonzero(self.c > 0)
+        out[:, idx] = self.u[:, idx]
+        return out
+
+    def v_dirs(self) -> np.ndarray:
+        """[v_dir(0) ... v_dir(r - 1)] as one m2 x r matrix, in either format."""
+        out = np.zeros((self.m2, self.r))
+        idx = np.flatnonzero(self.v_col_of >= 0)
+        out[:, idx] = self.v[:, self.v_col_of[idx]]
+        return out
+
 
 @dataclass(frozen=True)
 class CsStructure:
@@ -167,7 +181,7 @@ class FundamentalBases:
     common_null: np.ndarray
 
 
-def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
+def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False) -> GsvdFactors:
     """Compute the GH-form GSVD of the pair (a, b).
 
     Route: one pivoted QR of the stacked pair, cut at r, the rank read
@@ -191,11 +205,21 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance()) -> GsvdFactors:
     The class sizes (how many c_i snap to 1 or 0) are fixed from the
     numerical ranks of a, b, and the stacked pair so the structure counts
     always agree with independently computed ranks.
+
+    With compact=True the factors come in compact format, equal to
+    `compact(gsvd_decompose(a, b))`, and the left-nullspace completions
+    are never formed: U is the thin SVD of Qa cut to its r_a leading
+    columns, so the m1 - r_a columns spanning the left nullspace of A are
+    skipped; V is the Householder Q applied to [I_rb; 0] only (m2 x r_b),
+    so the m2 - r_b completion columns are skipped.  W is still completed
+    to r x r when m1 < r.  U, C, S, H and the ranks match the full route
+    bit for bit; V can differ by roundoff, since the blocked reflectors
+    meet a narrower right-hand side.
     """
-    return _decompose(a, b, tol)[0]
+    return _decompose(a, b, tol, compact=compact)[0]
 
 
-def _decompose(a, b, tol: Tolerance):
+def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # gsvd_decompose, also returning the singular values of a it reads r_a
     # from, so callers that need ||A||_2 do not factor A again.
     a = as_matrix(a)
@@ -221,16 +245,21 @@ def _decompose(a, b, tol: Tolerance):
 
     if r == 0:
         return GsvdFactors(
-            u=np.eye(m1), v=np.eye(m2),
+            u=np.zeros((m1, 0)) if compact else np.eye(m1),
+            v=np.zeros((m2, 0)) if compact else np.eye(m2),
             c=np.zeros(0), s=np.zeros(0), h=np.zeros((0, n)),
             r=0, r_a=0, r_b=0, m1=m1, m2=m2, n=n,
-            v_col_of=np.zeros(0, dtype=int),
+            v_col_of=np.zeros(0, dtype=int), compact=compact,
         ), sv_a
 
     q, rmat, perm = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
     qa, qb = q[:m1, :r], q[m1:, :r]
 
-    u, cos_raw, w = matcore.full_svd(qa)
+    if compact:
+        u, cos_raw, w = matcore._svd(qa, complete_v=True)
+        u = u[:, :r_a]
+    else:
+        u, cos_raw, w = matcore.full_svd(qa)
     c = np.zeros(r)
     c[: cos_raw.size] = np.clip(cos_raw, 0.0, 1.0)
 
@@ -253,19 +282,21 @@ def _decompose(a, b, tol: Tolerance):
     # QR pins them down without reordering or mixing directions and
     # supplies the orthogonal complement in the same pass.  Applying its Q
     # to the identity with columns rotated left by r_b gives
-    # V = [complement | Q[:, :r_b]] directly.
+    # V = [complement | Q[:, :r_b]] directly; the compact route applies it
+    # to [I_rb; 0] alone.
     nz = np.arange(n_inf, r)
+    skip = 0 if compact else m2 - r_b
     v_col_of = np.full(r, -1, dtype=int)
-    v_col_of[nz] = (m2 - r_b) + np.arange(r_b)
+    v_col_of[nz] = skip + np.arange(r_b)
     if r_b == 0:
-        v = np.eye(m2)
+        v = np.zeros((m2, 0)) if compact else np.eye(m2)
     else:
         denom = np.where(s[nz] > 0, s[nz], 1.0)
-        rotated = np.zeros((m2, m2), order="F")
-        np.fill_diagonal(rotated[r_b:], 1.0)
-        np.fill_diagonal(rotated[:, m2 - r_b:], 1.0)
-        v, diag_r = matcore._qr_apply(qbw[:, nz] / denom, rotated)
-        v[:, m2 - r_b:] *= np.where(diag_r < 0, -1.0, 1.0)
+        rhs = np.zeros((m2, skip + r_b), order="F")
+        np.fill_diagonal(rhs[r_b:, :skip], 1.0)
+        np.fill_diagonal(rhs[:, skip:], 1.0)
+        v, diag_r = matcore._qr_apply(qbw[:, nz] / denom, rhs)
+        v[:, skip:] *= np.where(diag_r < 0, -1.0, 1.0)
 
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
@@ -273,7 +304,7 @@ def _decompose(a, b, tol: Tolerance):
     return GsvdFactors(
         u=u, v=v, c=c, s=s, h=h,
         r=r, r_a=r_a, r_b=r_b, m1=m1, m2=m2, n=n,
-        v_col_of=v_col_of,
+        v_col_of=v_col_of, compact=compact,
     ), sv_a
 
 
@@ -330,10 +361,13 @@ def compact(f: GsvdFactors) -> GsvdFactors:
     """
     if f.compact:
         return f
+    # the nonzero-sine columns of V are contiguous: at the right end under
+    # the bottom convention, at the left under the top one
+    start = int(f.v_col_of[f.n_infinite]) if f.r_b else 0
     u = f.u[:, : f.r_a]
-    v = f.v[:, f.m2 - f.r_b:]
+    v = f.v[:, start: start + f.r_b]
     v_col_of = f.v_col_of.copy()
-    v_col_of[v_col_of >= 0] -= f.m2 - f.r_b
+    v_col_of[v_col_of >= 0] -= start
     return dataclasses.replace(f, u=u, v=v, v_col_of=v_col_of, compact=True)
 
 

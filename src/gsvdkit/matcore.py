@@ -157,35 +157,46 @@ def _completed(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _svd(m: np.ndarray, complete_u: bool = False, complete_v: bool = False):
+    # Thin SVD m = u diag(sigma) v' with deterministic column signs; the
+    # side(s) asked for are completed to square when they are the longer
+    # one.  Each u column is oriented by its leading significant entry and
+    # the first min(rows, cols) columns of v flip in tandem with theirs;
+    # v's completion columns are oriented alone.  A completion's reflectors
+    # do not depend on the column signs, so the leading columns, and the
+    # completion itself, are the same whichever sides are completed.
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt.T
+    if complete_u and m.shape[0] > m.shape[1]:
+        u = _completed(u)
+    if complete_v and m.shape[0] < m.shape[1]:
+        v = _completed(v)
+    k = sigma.size
+    signs = _leading_signs(u)
+    u *= signs
+    v[:, :k] *= signs[:k]
+    v[:, k:] *= _leading_signs(v[:, k:])
+    return u, sigma, v
+
+
 def full_svd(m):
     """Full SVD m = u @ Sigma @ v.T with square orthogonal u, v.
 
     Returns (u, sigma, v) with sigma descending of length min(rows, cols).
     A thin SVD supplies the singular vectors; the longer side's factor is
     completed to a square one by `complete_basis`.  Column signs are
-    normalized so factorizations are deterministic.
+    normalized so factorizations are deterministic.  `pinv`, `orth_basis`
+    and `nullspace_basis` take the same oriented SVD with only the columns
+    they read: the thin one, and for `nullspace_basis` of a wide matrix a
+    completed v.
     """
-    m = as_matrix(m)
-    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt.T
-    if m.shape[0] > m.shape[1]:
-        u = _completed(u)
-    elif m.shape[0] < m.shape[1]:
-        v = _completed(v)
-    # Deterministic orientation: the first min(rows, cols) columns of v
-    # flip in tandem with their u columns, the rest are oriented alone.
-    u_signs = _leading_signs(u)
-    v_signs = _leading_signs(v)
-    v_signs[: sigma.size] = u_signs[: sigma.size]
-    u *= u_signs
-    v *= v_signs
-    return u, sigma, v
+    return _svd(as_matrix(m), complete_u=True, complete_v=True)
 
 
 def pinv(m, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared rank tolerance."""
     m = as_matrix(m)
-    u, sigma, v = full_svd(m)
+    u, sigma, v = _svd(m)
     return _svd_pinv(u, sigma, v, _rank_of(sigma, m.shape, tol))
 
 
@@ -195,16 +206,25 @@ def _svd_pinv(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, k: int) -> np.nda
 
 
 def orth_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Orthonormal basis (columns) for the column space of m."""
+    """Orthonormal basis (columns) for the column space of m.
+
+    The leading left singular vectors of the thin SVD, oriented as in
+    `full_svd`; no completion is formed.
+    """
     m = as_matrix(m)
-    u, sigma, _ = full_svd(m)
+    u, sigma, _ = _svd(m)
     return u[:, : _rank_of(sigma, m.shape, tol)]
 
 
 def nullspace_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Orthonormal basis (columns) for the nullspace of m."""
+    """Orthonormal basis (columns) for the nullspace of m.
+
+    The trailing right singular vectors, oriented as in `full_svd`; v is
+    completed only when m is wide, the one shape where the thin SVD lacks
+    nullspace columns.
+    """
     m = as_matrix(m)
-    _, sigma, v = full_svd(m)
+    _, sigma, v = _svd(m, complete_v=True)
     if sigma[0] <= 0.0:
         return np.eye(m.shape[1])
     return v[:, _rank_of(sigma, m.shape, tol):]

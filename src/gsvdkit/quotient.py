@@ -150,19 +150,19 @@ def _projector(f: GsvdFactors, a: np.ndarray, a_norm: float, nb: np.ndarray,
     else:
         # N has unit columns, so sigma(AN) <= sigma_max(A): judge which
         # directions are real against A's scale, not AN's own
-        uan, sv, _ = matcore.full_svd(a @ nb)
+        uan, sv, _ = matcore._svd(a @ nb)
         k = int(np.count_nonzero(sv > tol.cutoff(a.shape, a_norm)))
         qan = uan[:, :k]
         p = np.eye(m1) - qan @ qan.T
         kept = m1 - k
 
-    if not f.compact:
-        u1 = f.u[:, : f.n_infinite]
-        p_from_u = np.eye(m1) - u1 @ u1.T
-        if np.linalg.norm(p - p_from_u) > 1e-10:
-            raise NumericalCheckFailed(
-                "projector constructions via null(B) and via the c_i = 1 columns disagree"
-            )
+    # the c_i = 1 columns lead U in either format
+    u1 = f.u[:, : f.n_infinite]
+    p_from_u = np.eye(m1) - u1 @ u1.T
+    if np.linalg.norm(p - p_from_u) > 1e-10:
+        raise NumericalCheckFailed(
+            "projector constructions via null(B) and via the c_i = 1 columns disagree"
+        )
     return HorizontalProjector(p=p, kept_dim=kept)
 
 
@@ -179,9 +179,9 @@ def quotient_check(a, b, tol: Tolerance = Tolerance()):
             f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
         )
     # one factorization of each input serves the GSVD, the projector and A B^+
-    f, sv_a = _decompose(a, b, tol)
+    f, sv_a = _decompose(a, b, tol, compact=True)
     a_norm = float(sv_a[0])
-    ub, sv_b, vb = matcore.full_svd(b)
+    ub, sv_b, vb = matcore._svd(b, complete_v=True)
     k_b = matcore._rank_of(sv_b, b.shape, tol)
     proj = _projector(f, a, a_norm, vb[:, k_b:], tol)
     abdag = a @ matcore._svd_pinv(ub, sv_b, vb, k_b)

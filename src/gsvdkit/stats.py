@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import gsvd, matcore
 from .errors import (
     DegenerateData,
     DimensionMismatch,
     InvalidPartition,
     ZeroWithin,
 )
-from .gsvd import GsvdFactors, _leading_terms, gsvd_decompose, rq_drilldown
+from .gsvd import GsvdFactors, _leading_terms, rq_drilldown
 from .matcore import EPS, Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -102,7 +102,7 @@ def cluster_design(partition) -> ClusterDesign:
         row += size
     y1 = indicator / np.sqrt(np.array(parts, dtype=float))
     constraint = np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))])
-    f = gsvd_decompose(indicator, constraint)
+    f = gsvd.gsvd_decompose(indicator, constraint)
     return ClusterDesign(
         partition=tuple(parts), p=p, k=k,
         indicator=indicator, constraint=constraint, y1=y1,
@@ -121,8 +121,10 @@ def anova_f(design: ClusterDesign, v) -> AnovaReport:
     v = as_vector(v)
     if v.size != design.p:
         raise DimensionMismatch(f"data length {v.size}, expected {design.p}")
-    between = float(np.dot(design.u2.T @ v, design.u2.T @ v))
-    within = float(np.dot(design.u3.T @ v, design.u3.T @ v))
+    between_part = design.u2.T @ v
+    within_part = design.u3.T @ v
+    between = float(np.dot(between_part, between_part))
+    within = float(np.dot(within_part, within_part))
     dfb = design.k - 1
     dfw = design.p - design.k
     floor = float(np.dot(v, v)) * (64 * design.p * EPS) ** 2
@@ -200,7 +202,7 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance(),
     stacked_norm = np.linalg.norm(np.vstack([between, within]), 2)
     if stacked_norm <= tol.cutoff(m.shape, np.linalg.norm(m, 2)):
         raise DegenerateData("between and within parts are both zero")
-    f = gsvd_decompose(between, within, tol)
+    f = gsvd.gsvd_decompose(between, within, tol, compact=True)
     if f.r == 0:
         raise DegenerateData("between and within parts are both zero")
     cols = min(design.k - 1, f.r)

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import gsvd, matcore
 from .errors import (
     DimensionMismatch,
     NotOrthonormal,
     NumericalCheckFailed,
     ZeroDenominator,
 )
-from .gsvd import GsvdFactors, gsvd_decompose
+from .gsvd import GsvdFactors
 from .matcore import Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -90,7 +90,7 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     yperp = matcore.complete_basis(y)
     top = y.T @ a1
     bottom = yperp.T @ a1 if yperp.shape[1] else np.zeros((1, a1.shape[1]))
-    f = gsvd_decompose(top, bottom, tol)
+    f = gsvd.gsvd_decompose(top, bottom, tol, compact=True)
     cosines = f.c[:k].copy()
 
     reference = np.clip(matcore._svdvals(q1.T @ y), 0.0, 1.0)[:k]
@@ -103,7 +103,7 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     a1_vecs = y @ hyp[:d2, :k]
     if yperp.shape[1]:
         a1_vecs = a1_vecs + yperp @ hyp[d2:, :k]
-    a2_vecs = np.column_stack([y @ f.u_dir(i) for i in range(k)]) if k else np.zeros((a1.shape[0], 0))
+    a2_vecs = y @ f.u_dirs()[:, :k]
     return PrincipalAngles(
         cosines=cosines,
         angles=np.arccos(np.clip(cosines, -1.0, 1.0)),
@@ -131,7 +131,7 @@ def additive_split(m, y1, tol: Tolerance = Tolerance()):
     y2 = matcore.complete_basis(y1)
     top = y1.T @ m
     bottom = y2.T @ m if y2.shape[1] else np.zeros((1, m.shape[1]))
-    f = gsvd_decompose(top, bottom, tol)
+    f = gsvd.gsvd_decompose(top, bottom, tol)
     p_part = y1 @ (f.u @ f.c_matrix() @ f.h)
     if y2.shape[1]:
         q_part = y2 @ (f.v @ f.s_matrix() @ f.h)
@@ -142,10 +142,8 @@ def additive_split(m, y1, tol: Tolerance = Tolerance()):
 
 def ellipse_data(f: GsvdFactors) -> EllipseData:
     """Semi-axes, unit-sphere hypotenuses, and angles for the ellipse picture."""
-    m1 = f.u.shape[0]
-    m2 = f.v.shape[0]
-    cdirs = np.column_stack([f.u_dir(i) for i in range(f.r)]) if f.r else np.zeros((m1, 0))
-    sdirs = np.column_stack([f.v_dir(i) for i in range(f.r)]) if f.r else np.zeros((m2, 0))
+    cdirs = f.u_dirs()
+    sdirs = f.v_dirs()
     sphere = np.vstack([cdirs * f.c, sdirs * f.s])
     if f.r:
         norms = np.linalg.norm(sphere, axis=0)

@@ -86,7 +86,7 @@ class LambdaFactors:
 
 def base_factors(p: TikhonovProblem, tol: Tolerance = Tolerance()) -> gsvd.GsvdFactors:
     """Compact GSVD of (A, L) at lambda = 1; r = n and every cosine is positive."""
-    f = gsvd.compact(gsvd.gsvd_decompose(p.a, p.l, tol))
+    f = gsvd.gsvd_decompose(p.a, p.l, tol, compact=True)
     if f.r < p.n or np.any(f.c <= 0):
         raise SingularH("base decomposition is rank deficient")
     return f

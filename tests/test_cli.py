@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gsvdkit import cli, jacobi
+from gsvdkit import cli, gsvd, jacobi
+from gsvdkit.matcore import Tolerance
 
 
 def write_csv(path, rows):
@@ -41,6 +42,26 @@ class TestGsvdCommand:
         doc = json.load(open(out))
         u = np.array(doc["u"])
         assert u.shape == (2, doc["ra"])
+        # the document is that of the compacted full-format factors, for
+        # the worked example and for a B with left-nullspace columns
+        rng = np.random.default_rng(7)
+        pairs = [(a, b), (write_csv(tmp_path / "a2.csv", rng.standard_normal((5, 4))),
+                          write_csv(tmp_path / "b2.csv",
+                                    rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))))]
+        for i, (pa, pb) in enumerate(pairs):
+            out = str(tmp_path / f"compact{i}.json")
+            for convention in ("bottom", "top"):
+                assert cli.main(["gsvd", pa, pb, "--compact", "--convention", convention,
+                                 "--json", out]) == 0
+                doc = json.load(open(out))
+                f = gsvd.compact(gsvd.gsvd_decompose(cli.read_matrix(pa), cli.read_matrix(pb)))
+                want = json.loads(json.dumps(cli.factors_to_document(f, Tolerance(), convention)))
+                for key in ("u", "v"):
+                    got, ref = np.array(doc.pop(key)), np.array(want.pop(key))
+                    assert got.shape == ref.shape == getattr(f, key).shape
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+                assert doc == want
+                assert cli.main(["verify", pa, pb, out]) == 0
 
     def test_top_convention(self, worked_example, tmp_path):
         a, b = worked_example

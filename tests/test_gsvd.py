@@ -285,6 +285,73 @@ class TestCompact:
         assert np.linalg.norm(fc.reconstruct() - stacked) <= 1e-11 * np.linalg.norm(stacked)
 
 
+# Pairs on every branch of the compact route.
+COMPACT_ROUTE_CASES = {
+    "gaussian": lambda rng: (rng.standard_normal((7, 6)), rng.standard_normal((5, 6))),
+    "rank_deficient": lambda rng: random_pair(rng, 8, 6, 7, rank_a=3, rank_b=2, common_null=1),
+    "m1_below_r": lambda rng: (rng.standard_normal((2, 6)), rng.standard_normal((5, 6))),
+    "rb_zero": lambda rng: (rng.standard_normal((6, 4)), np.zeros((5, 4))),
+    "r_zero": lambda rng: (np.zeros((3, 4)), np.zeros((2, 4))),
+    "ra_zero": lambda rng: (np.zeros((4, 3)), rng.standard_normal((5, 3))),
+    "tall_b": lambda rng: (rng.standard_normal((30, 30)), rng.standard_normal((2500, 30))),
+    "one_row": lambda rng: (rng.standard_normal((1, 5)), rng.standard_normal((3, 5))),
+}
+
+
+class TestCompactRoute:
+    # gsvd_decompose(..., compact=True) skips the left-nullspace completions
+    # and must give what compacting the full-format factors gives.
+    @pytest.mark.parametrize("case", list(COMPACT_ROUTE_CASES))
+    def test_matches_compacted_full_factors(self, rng, case):
+        a, b = COMPACT_ROUTE_CASES[case](rng)
+        ref = gsvd.compact(gsvd.gsvd_decompose(a, b))
+        fc = gsvd.gsvd_decompose(a, b, compact=True)
+        assert fc.compact
+        for name in ("u", "c", "s", "h", "v_col_of"):
+            got, want = getattr(fc, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert (fc.r, fc.r_a, fc.r_b) == (ref.r, ref.r_a, ref.r_b)
+        assert (fc.m1, fc.m2, fc.n) == (ref.m1, ref.m2, ref.n)
+        # V meets a narrower right-hand side in the blocked reflectors
+        assert fc.v.shape == ref.v.shape == (b.shape[0], fc.r_b)
+        np.testing.assert_allclose(fc.v, ref.v, rtol=0, atol=1e-15)
+        check_factor_invariants(fc, a, b, recon_tol=1e-11)
+
+    def test_private_route_takes_the_keyword(self, rng):
+        a, b = COMPACT_ROUTE_CASES["rank_deficient"](rng)
+        f, sv_a = gsvd._decompose(a, b, Tolerance(), compact=True)
+        assert f.compact and f.u.shape == (8, f.r_a) and f.v.shape == (6, f.r_b)
+        np.testing.assert_array_equal(sv_a, np.linalg.svd(a, compute_uv=False))
+
+    def test_compact_of_top_convention(self, rng):
+        # the nonzero-sine columns sit at the left of V there
+        a, b = random_pair(rng, 5, 6, 4, rank_b=2)
+        f = gsvd.gsvd_decompose(a, b)
+        ref = gsvd.compact(f)
+        fc = gsvd.compact(gsvd.with_top_convention(f))
+        for name in ("u", "v", "c", "s", "h", "v_col_of"):
+            np.testing.assert_array_equal(getattr(fc, name), getattr(ref, name), err_msg=name)
+
+
+class TestDirections:
+    @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
+    def test_blocks_match_columnwise(self, rng, compact):
+        # all three classes: c = 1, 0 < c < 1 and c = 0
+        a, b = random_pair(rng, 6, 5, 5, rank_a=3, rank_b=3)
+        f = gsvd.gsvd_decompose(a, b, compact=compact)
+        assert f.n_infinite and f.n_finite and f.n_zero
+        np.testing.assert_array_equal(
+            f.u_dirs(), np.column_stack([f.u_dir(i) for i in range(f.r)]))
+        np.testing.assert_array_equal(
+            f.v_dirs(), np.column_stack([f.v_dir(i) for i in range(f.r)]))
+        assert not f.u_dirs()[:, f.c == 0].any() and not f.v_dirs()[:, f.s == 0].any()
+
+    def test_empty(self):
+        f = gsvd.gsvd_decompose(np.zeros((3, 2)), np.zeros((4, 2)), compact=True)
+        assert f.u_dirs().shape == (3, 0) and f.v_dirs().shape == (4, 0)
+
+
 class TestExpand:
     def test_full_rank_unchanged(self, rng):
         a, b = random_pair(rng, 4, 3, 3)

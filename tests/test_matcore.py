@@ -177,6 +177,48 @@ class TestBlockedCompletions:
         assert matcore.complete_basis(random_orthonormal(rng, 5, 5)).shape == (5, 0)
 
 
+# Tall, wide, square, zero and rank-deficient inputs.
+THIN_ROUTE_INPUTS = {
+    "tall": lambda rng: rng.standard_normal((40, 7)),
+    "wide": lambda rng: rng.standard_normal((7, 40)),
+    "square": lambda rng: rng.standard_normal((9, 9)),
+    "zero_tall": lambda rng: np.zeros((5, 3)),
+    "zero_wide": lambda rng: np.zeros((3, 5)),
+    "rank_deficient_tall": lambda rng: rng.standard_normal((30, 4)) @ rng.standard_normal((4, 12)),
+    "rank_deficient_wide": lambda rng: rng.standard_normal((12, 4)) @ rng.standard_normal((4, 30)),
+    "row": lambda rng: rng.standard_normal((1, 6)),
+    "column": lambda rng: rng.standard_normal((6, 1)),
+}
+
+
+class TestThinRoutes:
+    # orth_basis, pinv and nullspace_basis form only the singular vectors
+    # they read; the values are those of the full SVD, bit for bit.
+    @pytest.mark.parametrize("kind", list(THIN_ROUTE_INPUTS))
+    def test_match_full_svd(self, rng, kind):
+        m = THIN_ROUTE_INPUTS[kind](rng)
+        u, sigma, v = matcore.full_svd(m)
+        k = matcore.numerical_rank(m)
+        np.testing.assert_array_equal(matcore.orth_basis(m), u[:, :k])
+        np.testing.assert_array_equal(matcore.pinv(m), matcore._svd_pinv(u, sigma, v, k))
+        null = np.eye(m.shape[1]) if k == 0 else v[:, k:]
+        got = matcore.nullspace_basis(m)
+        assert got.shape == null.shape
+        np.testing.assert_array_equal(got, null)
+
+    @pytest.mark.parametrize("kind", ["tall", "wide", "square"])
+    def test_completes_only_what_is_asked(self, rng, kind):
+        m = THIN_ROUTE_INPUTS[kind](rng)
+        rows, cols = m.shape
+        k = min(rows, cols)
+        u, _, v = matcore._svd(m)
+        assert u.shape == (rows, k) and v.shape == (cols, k)
+        _, _, v = matcore._svd(m, complete_v=True)
+        assert v.shape == (cols, cols)
+        u, _, _ = matcore._svd(m, complete_u=True)
+        assert u.shape == (rows, rows)
+
+
 class TestPinv:
     def test_row_vector(self):
         # B'/||B||^2 for a single row

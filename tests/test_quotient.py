@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gsvdkit import gsvd, quotient
-from gsvdkit.errors import NeedsAugmentation, NoAugmentationNeeded
+from gsvdkit.errors import NeedsAugmentation, NoAugmentationNeeded, NumericalCheckFailed
 
 from conftest import random_pair
 
@@ -84,6 +86,22 @@ class TestHorizontalProjector:
                     assert np.linalg.norm(proj.p @ u_i) <= 1e-10
                 else:
                     assert np.linalg.norm(proj.p @ u_i - u_i) <= 1e-10
+
+
+    def test_compact_factors_keep_the_u_side_check(self):
+        full = gsvd.gsvd_decompose(DIAG34, ROW11)
+        f = gsvd.compact(full)
+        np.testing.assert_array_equal(
+            quotient.horizontal_projector(f, DIAG34, ROW11).p,
+            quotient.horizontal_projector(full, DIAG34, ROW11).p,
+        )
+        # tilt the c = 1 column u_1 by 1e-6: the two constructions disagree
+        t = 1e-6
+        u = f.u.copy()
+        u[:, 0] = np.cos(t) * f.u[:, 0] + np.sin(t) * f.u[:, 1]
+        bent = dataclasses.replace(f, u=u)
+        with pytest.raises(NumericalCheckFailed):
+            quotient.horizontal_projector(bent, DIAG34, ROW11)
 
 
 class TestQuotientCheck:

@@ -61,6 +61,19 @@ class TestPrincipalAngles:
             z = result.a2_vectors[:, j]
             assert np.linalg.norm(z - p2 @ (p2.T @ z)) <= 1e-10
 
+    def test_orthogonal_direction_has_zero_mate(self, rng):
+        # span(a1) shares one direction with span(a2) and is orthogonal to
+        # it otherwise, so the second angle has c = 0 and no mate in a2
+        q = random_orthonormal(rng, 5, 5)
+        a1 = q[:, [0, 2]] @ rng.standard_normal((2, 2))
+        a2 = q[:, [0, 1]] @ rng.standard_normal((2, 2))
+        result = subgeom.principal_angles(a1, a2)
+        np.testing.assert_allclose(result.cosines, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_array_equal(result.a2_vectors[:, 1], np.zeros(5))
+        mate = result.a2_vectors[:, 0]
+        assert abs(abs(mate @ q[:, 0]) - 1.0) <= 1e-12
+        assert abs(abs(result.a1_vectors[:, 0] @ mate) - 1.0) <= 1e-12
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             subgeom.principal_angles(rng.standard_normal((3, 1)),
@@ -133,6 +146,19 @@ class TestEllipseData:
             np.testing.assert_allclose(norms, 1.0, atol=1e-12)
             gram = data.sphere_points.T @ data.sphere_points
             np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-10)
+
+
+    def test_compact_factors_give_the_same_data(self, rng):
+        a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+        b = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5))
+        f = gsvd.gsvd_decompose(a, b)
+        assert f.n_infinite and f.n_zero
+        full = subgeom.ellipse_data(f)
+        comp = subgeom.ellipse_data(gsvd.compact(f))
+        for name in ("cosine_directions", "sine_directions", "sphere_points"):
+            np.testing.assert_array_equal(getattr(comp, name), getattr(full, name))
+        assert not full.cosine_directions[:, f.c == 0].any()
+        assert not full.sine_directions[:, f.s == 0].any()
 
 
 class TestEnergy:
