@@ -85,6 +85,11 @@ def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
     return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
 
 
+def _pinned(tol: Tolerance, shape) -> Tolerance:
+    # tol, its default relative cutoff fixed at that of a matrix of this shape.
+    return tol if tol.rel is not None else Tolerance(max(shape) * EPS, tol.abs)
+
+
 def _svdvals(x: np.ndarray) -> np.ndarray:
     # Singular values, descending.  np.linalg.svdvals needs NumPy 2.0, and
     # scipy.linalg.svdvals spends more time in its wrapper than in LAPACK

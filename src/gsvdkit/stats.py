@@ -17,7 +17,7 @@ from .errors import (
     InvalidPartition,
     ZeroWithin,
 )
-from .gsvd import GsvdFactors, _leading_terms, rq_drilldown
+from .gsvd import GsvdFactors, _leading_terms
 from .matcore import EPS, Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -113,16 +113,16 @@ def cluster_design(partition) -> ClusterDesign:
 def anova_f(design: ClusterDesign, v) -> AnovaReport:
     """One-way ANOVA F statistic from the orthogonal split.
 
-    F = (||U2' v||^2 / (k - 1)) / (||U3' v||^2 / (p - k)).  Constant data
-    has no between component and reports F = 0; data that is exactly
-    constant within each cluster (but not globally) has nothing in the
-    within space and raises ZeroWithin.
+    F = (||U2' v||^2 / (k - 1)) / (||W||^2 / (p - k)), where the projection
+    W = v - Y1 Y1' v has the norm of U3' v.  Constant data reports F = 0;
+    data that is exactly constant within each cluster (but not globally)
+    has nothing in the within space and raises ZeroWithin.
     """
     v = as_vector(v)
     if v.size != design.p:
         raise DimensionMismatch(f"data length {v.size}, expected {design.p}")
     between_part = design.u2.T @ v
-    within_part = design.u3.T @ v
+    within_part = v - design.y1 @ (design.y1.T @ v)
     between = float(np.dot(between_part, between_part))
     within = float(np.dot(within_part, within_part))
     dfb = design.k - 1
@@ -181,34 +181,30 @@ def reconstruct_terms(f: GsvdFactors, k: int):
     return _leading_terms(f, k)
 
 
-def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance(),
-                        use_rq_basis: bool = False):
+def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
     """Reduce data to the directions carrying nonzero between/within slope.
 
-    Takes gsvd(U2' M, U3' M) and multiplies M on the right by
+    Takes gsvd(U2' M, W) and multiplies M on the right by
     G = H^+ I_{r, k-1}, whose k - 1 columns span the only directions with
     nonzero generalized singular values; those values are unchanged by the
-    reduction.  With use_rq_basis=True, G is taken as the equivalent-span
-    leading columns of the orthogonal factor from the RQ drilldown.
+    reduction.  The projection W = M - Y1 Y1' M has the Gram of U3' M, so
+    the factors are those of gsvd(U2' M, U3' M) at that pair's rank cutoff.
     Returns (G, M G).
     """
     m = as_matrix(m)
     if m.shape[0] != design.p:
         raise DimensionMismatch(f"data has {m.shape[0]} rows, expected {design.p}")
     between = design.u2.T @ m
-    within = design.u3.T @ m
+    within = m - design.y1 @ (design.y1.T @ m)
     # mean-only data leaves nothing but roundoff in both parts; judge that
     # against the scale of the data, not of the noise
     stacked_norm = np.linalg.norm(np.vstack([between, within]), 2)
     if stacked_norm <= tol.cutoff(m.shape, np.linalg.norm(m, 2)):
         raise DegenerateData("between and within parts are both zero")
-    f = gsvd.gsvd_decompose(between, within, tol, compact=True)
+    pair_tol = matcore._pinned(tol, (design.p - 1, m.shape[1]))
+    f = gsvd.gsvd_decompose(between, within, pair_tol, compact=True)
     if f.r == 0:
         raise DegenerateData("between and within parts are both zero")
     cols = min(design.k - 1, f.r)
-    if use_rq_basis:
-        _, q = rq_drilldown(f)
-        g = q[:, f.n - f.r: f.n - f.r + cols]
-    else:
-        g = matcore.pinv(f.h, tol)[:, :cols]
+    g = matcore.pinv(f.h, tol)[:, :cols]
     return g, m @ g

@@ -66,12 +66,12 @@ class EllipseData:
 def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     """Principal angles between col(a1) and col(a2), via the GSVD route.
 
-    Rotate coordinates to span(a2): with Q = [Y | Yperp] encoding span(a2)
-    through an orthonormal basis and its completion, take the GSVD of
-    (Y' a1, Yperp' a1); its cosines are the principal cosines.  The
-    classical svd(Q1' Q2) values are computed as a cross-check and must
-    agree; the returned values come from the GSVD route, whose snapping
-    makes coincident and orthogonal subspaces give exactly 1 and 0.
+    Take the GSVD of (Y' a1, a1 - Y Y' a1), Y an orthonormal basis of
+    span(a2), at the rank cutoff of a1's shape: the residual, projected
+    twice, has the Gram of a1 in complement coordinates, so the cosines
+    are the principal cosines (Bjorck & Golub 1973).  They must agree with
+    the classical svd(Q1' Q2) values, and snap coincident and orthogonal
+    subspaces to exactly 1 and 0.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -87,10 +87,10 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
         empty = np.zeros((a1.shape[0], 0))
         return PrincipalAngles(np.zeros(0), np.zeros(0), empty, empty)
 
-    yperp = matcore.complete_basis(y)
     top = y.T @ a1
-    bottom = yperp.T @ a1 if yperp.shape[1] else np.zeros((1, a1.shape[1]))
-    f = gsvd.gsvd_decompose(top, bottom, tol, compact=True)
+    bottom = a1 - y @ top
+    bottom -= y @ (y.T @ bottom)
+    f = gsvd.gsvd_decompose(top, bottom, matcore._pinned(tol, a1.shape), compact=True)
     cosines = f.c[:k].copy()
 
     reference = np.clip(matcore._svdvals(q1.T @ y), 0.0, 1.0)[:k]
@@ -99,10 +99,8 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
             "GSVD and svd(Q1'Q2) principal-angle routes disagree beyond 1e-9"
         )
 
-    hyp = f.stacked_unit_basis()  # rows: d2 then the complement (or a zero pad row)
-    a1_vecs = y @ hyp[:d2, :k]
-    if yperp.shape[1]:
-        a1_vecs = a1_vecs + yperp @ hyp[d2:, :k]
+    hyp = f.stacked_unit_basis()  # rows: d2 in Y coordinates, then ambient
+    a1_vecs = y @ hyp[:d2, :k] + hyp[d2:, :k]
     a2_vecs = y @ f.u_dirs()[:, :k]
     return PrincipalAngles(
         cosines=cosines,

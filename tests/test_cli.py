@@ -253,6 +253,17 @@ class TestReduceCommand:
         mg = cli.read_matrix(out)
         assert mg.shape == (9, 2)
 
+    def test_singleton_clusters(self, tmp_path):
+        rng = np.random.default_rng(9)
+        data = write_csv(tmp_path / "m.csv", rng.standard_normal((3, 4)).tolist())
+        out = str(tmp_path / "mg.csv")
+        assert cli.main(["reduce", data, "--partition", "1,1,1",
+                         "--out", out]) == 0
+        mg = cli.read_matrix(out)
+        assert mg.shape == (3, 2)
+        gaps = np.linalg.norm(mg[:, None, :] - mg[None, :, :], axis=2)
+        assert np.min(gaps[~np.eye(3, dtype=bool)]) > 1e-6
+
 
 class TestJacobiCommand:
     def test_seed_gives_identical_bytes(self, tmp_path):

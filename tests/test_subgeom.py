@@ -79,6 +79,29 @@ class TestPrincipalAngles:
             subgeom.principal_angles(rng.standard_normal((3, 1)),
                                      rng.standard_normal((4, 1)))
 
+    @pytest.mark.parametrize("m, d1, d2", [(5, 2, 5), (5, 3, 7), (6, 6, 6),
+                                           (1, 3, 2), (1, 1, 1), (4, 1, 4)])
+    def test_a2_spanning_the_whole_space(self, rng, m, d1, d2):
+        # span(a2) = R^m: the complement is empty, every angle is zero
+        a1 = rng.standard_normal((m, d1))
+        a2 = rng.standard_normal((m, d2))
+        result = subgeom.principal_angles(a1, a2)
+        k = min(d1, m)
+        np.testing.assert_array_equal(result.cosines, np.ones(k))
+        w = result.a1_vectors
+        assert w.shape == (m, k)
+        assert np.linalg.norm(w.T @ w - np.eye(k), 2) <= 1e-14
+
+    def test_near_parallel_a1_vectors_stay_orthonormal(self, rng):
+        # span(a1) lies within 1e-11 of span(a2); the a1 vectors are built
+        # mostly from the span(a2) part, and a complement part with any
+        # span(a2) residue left in it would spoil their orthogonality
+        for m, d1, d2 in [(12, 6, 6), (30, 10, 12)] * 5:
+            a2 = rng.standard_normal((m, d2))
+            a1 = a2 @ rng.standard_normal((d2, d1)) + 1e-11 * rng.standard_normal((m, d1))
+            w = subgeom.principal_angles(a1, a2).a1_vectors
+            assert np.linalg.norm(w.T @ w - np.eye(d1), 2) <= 1e-14
+
 
 class TestAdditiveSplit:
     def test_top_bottom_reduces_to_plain_gsvd(self, rng):
