@@ -31,7 +31,7 @@ from .jacobi import (
     manova_matrix,
     sample_manova,
 )
-from .matcore import Tolerance, full_svd, numerical_rank, pinv, thin_qr
+from .matcore import Tolerance, full_svd, numerical_rank, pinv
 from .quotient import (
     HorizontalProjector,
     LimitCurve,
@@ -78,7 +78,6 @@ __all__ = [
     "errors",
     "Tolerance",
     "numerical_rank",
-    "thin_qr",
     "full_svd",
     "pinv",
     "GsvdFactors",

@@ -124,27 +124,15 @@ class GsvdFactors:
         """Rebuild the stacked pair [A; B] from the factors."""
         return self.stacked_unit_basis() @ self.h
 
-    def u_dir(self, i: int) -> np.ndarray:
-        """u_i: unit column-space direction for index i, zero vector when c_i = 0."""
-        if self.c[i] > 0:
-            return self.u[:, i].copy()
-        return np.zeros(self.u.shape[0])
-
-    def v_dir(self, i: int) -> np.ndarray:
-        """v_i: unit column-space direction for index i, zero vector when s_i = 0."""
-        if self.v_col_of[i] >= 0:
-            return self.v[:, self.v_col_of[i]].copy()
-        return np.zeros(self.v.shape[0])
-
     def u_dirs(self) -> np.ndarray:
-        """[u_dir(0) ... u_dir(r - 1)] as one m1 x r matrix, in either format."""
+        """u_i per index as one m1 x r matrix, a zero column where c_i = 0; either format."""
         out = np.zeros((self.m1, self.r))
         idx = np.flatnonzero(self.c > 0)
         out[:, idx] = self.u[:, idx]
         return out
 
     def v_dirs(self) -> np.ndarray:
-        """[v_dir(0) ... v_dir(r - 1)] as one m2 x r matrix, in either format."""
+        """v_i per index as one m2 x r matrix, a zero column where s_i = 0; either format."""
         out = np.zeros((self.m2, self.r))
         idx = np.flatnonzero(self.v_col_of >= 0)
         out[:, idx] = self.v[:, self.v_col_of[idx]]
@@ -374,20 +362,19 @@ def compact(f: GsvdFactors) -> GsvdFactors:
 def expand(f: GsvdFactors):
     """Expanded format: (C_exp, S_exp, H_exp) with H_exp square nonsingular.
 
-    C and S gain n - r zero columns; H gains n - r rows from an orthonormal
-    basis of null(H), which makes H_exp invertible without touching the
-    reconstruction [A; B] = [U C_exp; V S_exp] H_exp.
+    C and S gain n - r zero columns; H gains n - r rows from the orthonormal
+    basis of null(H) that `rq_drilldown` reads off, which makes H_exp
+    invertible without touching the reconstruction
+    [A; B] = [U C_exp; V S_exp] H_exp.  The r of the factors is the only
+    rank decision, so H_exp is n x n at every tolerance.
     """
     pad = f.n - f.r
     c_exp = np.hstack([f.c_matrix(), np.zeros((f.u.shape[1], pad))])
     s_exp = np.hstack([f.s_matrix(), np.zeros((f.v.shape[1], pad))])
     if pad == 0:
         return c_exp, s_exp, f.h.copy()
-    if f.r == 0:
-        return c_exp, s_exp, np.eye(f.n)
-    null_h = matcore.nullspace_basis(f.h)
-    h_exp = np.vstack([f.h, null_h.T])
-    return c_exp, s_exp, h_exp
+    null_h = rq_drilldown(f)[1][:, :pad]
+    return c_exp, s_exp, np.vstack([f.h, null_h.T])
 
 
 def rq_drilldown(f: GsvdFactors):

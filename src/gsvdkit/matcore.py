@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "numerical_rank",
-    "thin_qr",
     "full_svd",
     "pinv",
     "orth_basis",
@@ -101,31 +99,6 @@ def numerical_rank(m, tol: Tolerance = Tolerance()) -> int:
     """Count singular values above the tolerance cutoff; 0 for the zero matrix."""
     m = as_matrix(m)
     return _rank_of(_svdvals(m), m.shape, tol)
-
-
-def thin_qr(m, pivoted: bool = False, tol: Tolerance = Tolerance()):
-    """Economy QR with nonnegative R diagonal; m[:, perm] ~= q @ r.
-
-    With pivoted=True the columns are permuted (largest norms first) and
-    q, r are truncated to the numerical rank read off the R diagonal.
-    """
-    m = as_matrix(m)
-    if pivoted:
-        q, r, perm = scipy.linalg.qr(m, mode="economic", pivoting=True)
-        d = np.abs(np.diag(r))
-        if d.size == 0 or d[0] <= 0.0:
-            k = 0
-        else:
-            k = int(np.count_nonzero(d > tol.cutoff(m.shape, d[0])))
-        q, r = q[:, :k], r[:k, :]
-    else:
-        q, r = scipy.linalg.qr(m, mode="economic")
-        perm = np.arange(m.shape[1])
-    for i in range(min(r.shape)):
-        if r[i, i] < 0:
-            r[i, :] = -r[i, :]
-            q[:, i] = -q[:, i]
-    return q, r, np.asarray(perm, dtype=int)
 
 
 def _leading_signs(x: np.ndarray) -> np.ndarray:

@@ -159,9 +159,11 @@ def _projector(f: GsvdFactors, a: np.ndarray, a_norm: float, nb: np.ndarray,
     # the c_i = 1 columns lead U in either format
     u1 = f.u[:, : f.n_infinite]
     p_from_u = np.eye(m1) - u1 @ u1.T
-    if np.linalg.norm(p - p_from_u) > 1e-10:
+    dev = float(np.linalg.norm(p - p_from_u))
+    if dev > 1e-10:
         raise NumericalCheckFailed(
-            "projector constructions via null(B) and via the c_i = 1 columns disagree"
+            "projector constructions via null(B) and via the c_i = 1 columns "
+            f"differ by {dev:.2e} > 1e-10"
         )
     return HorizontalProjector(p=p, kept_dim=kept)
 

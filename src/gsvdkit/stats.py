@@ -196,14 +196,12 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
         raise DimensionMismatch(f"data has {m.shape[0]} rows, expected {design.p}")
     between = design.u2.T @ m
     within = m - design.y1 @ (design.y1.T @ m)
-    # mean-only data leaves nothing but roundoff in both parts; judge that
-    # against the scale of the data, not of the noise
-    stacked_norm = np.linalg.norm(np.vstack([between, within]), 2)
-    if stacked_norm <= tol.cutoff(m.shape, np.linalg.norm(m, 2)):
-        raise DegenerateData("between and within parts are both zero")
     pair_tol = matcore._pinned(tol, (design.p - 1, m.shape[1]))
     f = gsvd.gsvd_decompose(between, within, pair_tol, compact=True)
-    if f.r == 0:
+    # mean-only data leaves nothing but roundoff in both parts; judge that
+    # against the scale of the data, not of the noise.  [U C; V S] has
+    # orthonormal columns, so ||H||_2 is the norm of the stacked parts.
+    if f.r == 0 or matcore._svdvals(f.h)[0] <= tol.cutoff(m.shape, np.linalg.norm(m, 2)):
         raise DegenerateData("between and within parts are both zero")
     cols = min(design.k - 1, f.r)
     g = matcore.pinv(f.h, tol)[:, :cols]

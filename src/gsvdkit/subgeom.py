@@ -66,12 +66,14 @@ class EllipseData:
 def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     """Principal angles between col(a1) and col(a2), via the GSVD route.
 
-    Take the GSVD of (Y' a1, a1 - Y Y' a1), Y an orthonormal basis of
-    span(a2), at the rank cutoff of a1's shape: the residual, projected
-    twice, has the Gram of a1 in complement coordinates, so the cosines
-    are the principal cosines (Bjorck & Golub 1973).  They must agree with
-    the classical svd(Q1' Q2) values, and snap coincident and orthogonal
-    subspaces to exactly 1 and 0.
+    With Q1 = orth_basis(a1) and Y = orth_basis(a2), take the GSVD of
+    (Y' Q1, Q1 - Y Y' Q1), the residual projected twice, at the rank
+    cutoff of a1's shape.  The stacked pair has the Gram Q1' Q1 = I, so its
+    columns are orthonormal: its rank is dim col(a1) by construction, H is
+    orthogonal, and the cosines are the principal cosines (Bjorck & Golub
+    1973), as accurate as Q1 whatever the conditioning of a1.  They must
+    agree with the classical svd(Q1' Y) values to 1e-9; coincident and
+    orthogonal directions snap to exactly 1 and 0.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -87,16 +89,17 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
         empty = np.zeros((a1.shape[0], 0))
         return PrincipalAngles(np.zeros(0), np.zeros(0), empty, empty)
 
-    top = y.T @ a1
-    bottom = a1 - y @ top
+    top = y.T @ q1
+    bottom = q1 - y @ top
     bottom -= y @ (y.T @ bottom)
     f = gsvd.gsvd_decompose(top, bottom, matcore._pinned(tol, a1.shape), compact=True)
     cosines = f.c[:k].copy()
 
-    reference = np.clip(matcore._svdvals(q1.T @ y), 0.0, 1.0)[:k]
-    if cosines.size and np.max(np.abs(np.sort(cosines) - np.sort(reference))) > 1e-9:
+    reference = np.clip(matcore._svdvals(top), 0.0, 1.0)[:k]
+    gap = float(np.max(np.abs(np.sort(cosines) - np.sort(reference))))
+    if gap > 1e-9:
         raise NumericalCheckFailed(
-            "GSVD and svd(Q1'Q2) principal-angle routes disagree beyond 1e-9"
+            f"GSVD and svd(Q1'Y) principal cosines differ by {gap:.2e} > 1e-9"
         )
 
     hyp = f.stacked_unit_basis()  # rows: d2 in Y coordinates, then ambient
@@ -145,8 +148,11 @@ def ellipse_data(f: GsvdFactors) -> EllipseData:
     sphere = np.vstack([cdirs * f.c, sdirs * f.s])
     if f.r:
         norms = np.linalg.norm(sphere, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise NumericalCheckFailed("sphere points are not unit length")
+        dev = float(np.max(np.abs(norms - 1.0)))
+        if dev > 1e-12:
+            raise NumericalCheckFailed(
+                f"sphere points deviate from unit length by {dev:.2e} > 1e-12"
+            )
     return EllipseData(
         cosine_lengths=f.c.copy(),
         cosine_directions=cdirs,

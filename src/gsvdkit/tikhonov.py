@@ -1,7 +1,8 @@
 """Tikhonov regularization through the two-cosine geometry.
 
 For min_x ||A x - b||^2 + lambda^2 ||L x||^2 with A of full column rank,
-take the compact GSVD of (A, L) once at lambda = 1.  The whole path then
+take the compact GSVD of (A, L) once at lambda = 1, when the problem is
+built; its r_a = rank(A) is the only rank decision.  The whole path then
 has the closed form of a unit-hypotenuse triangle with fixed base and
 sliding height:
 
@@ -19,12 +20,12 @@ come back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from . import gsvd, matcore
+from . import gsvd
 from .errors import DimensionMismatch, SingularH
 from .matcore import Tolerance, as_matrix, as_vector
 
@@ -40,11 +41,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TikhonovProblem:
-    """Data (A, L, b) with A of full column rank; checked at construction."""
+    """Data (A, L, b) with A of full column rank, and the compact GSVD of (A, L).
+
+    The decomposition is taken once, at construction and at `tol`; A has
+    full column rank exactly when its r_a equals n, and otherwise the
+    constructor raises SingularH.  `base_factors`, `lambda_factors` and
+    `solve_path` all read these factors.
+    """
 
     a: np.ndarray
     l: np.ndarray
     b: np.ndarray
+    _factors: gsvd.GsvdFactors = field(repr=False, compare=False)
 
     def __init__(self, a, l, b, tol: Tolerance = Tolerance()):
         a = as_matrix(a)
@@ -58,11 +66,15 @@ class TikhonovProblem:
             raise DimensionMismatch(
                 f"b has length {b.size}, expected {a.shape[0]}"
             )
-        if matcore.numerical_rank(a, tol) < a.shape[1]:
-            raise SingularH("A must have full column rank")
+        f = gsvd.gsvd_decompose(a, l, tol, compact=True)
+        if f.r_a < a.shape[1]:
+            raise SingularH(
+                f"A must have full column rank: rank {f.r_a} < {a.shape[1]} columns"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_factors", f)
 
     @property
     def n(self) -> int:
@@ -84,24 +96,16 @@ class LambdaFactors:
         return self.c_lambda**2
 
 
-def base_factors(p: TikhonovProblem, tol: Tolerance = Tolerance()) -> gsvd.GsvdFactors:
-    """Compact GSVD of (A, L) at lambda = 1; r = n and every cosine is positive."""
-    f = gsvd.gsvd_decompose(p.a, p.l, tol, compact=True)
-    if f.r < p.n or np.any(f.c <= 0):
-        raise SingularH("base decomposition is rank deficient")
-    return f
+def base_factors(p: TikhonovProblem) -> gsvd.GsvdFactors:
+    """Compact GSVD of (A, L) at lambda = 1; r = r_a = n, so every cosine is positive."""
+    return p._factors
 
 
-def lambda_factors(
-    p: TikhonovProblem,
-    lam: float,
-    base: gsvd.GsvdFactors | None = None,
-    tol: Tolerance = Tolerance(),
-) -> LambdaFactors:
+def lambda_factors(p: TikhonovProblem, lam: float) -> LambdaFactors:
     """Closed-form factors of [A; lam L] scaled from the lambda = 1 anchor."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    f = base if base is not None else base_factors(p, tol)
+    f = base_factors(p)
     denom = np.hypot(f.c, lam * f.s)
     c_lam = f.c / denom
     s_lam = lam * f.s / denom
@@ -111,17 +115,14 @@ def lambda_factors(
                          h_lambda=h_lam, h0=h0)
 
 
-def solve_path(p: TikhonovProblem, lambdas, tol: Tolerance = Tolerance()):
-    """Solve the whole lambda grid from one decomposition.
+def solve_path(p: TikhonovProblem, lambdas):
+    """Solve the whole lambda grid from the problem's one decomposition.
 
     Returns a list of (lambda, x_lambda, damping) with damping the
     per-direction cos^2(theta_lambda) factors in the H0 coordinates.
     """
-    f = base_factors(p, tol)
-    h0 = f.c[:, None] * f.h
-    if matcore.numerical_rank(h0, tol) < p.n:
-        raise SingularH("H0 is numerically singular")
-    lu = scipy.linalg.lu_factor(h0)
+    f = base_factors(p)
+    lu = scipy.linalg.lu_factor(f.c[:, None] * f.h)
     # A = U H0 with orthonormal U and invertible H0, so the least-squares
     # solution x0 has H0 x0 = U' b.
     y0 = f.u.T @ p.b

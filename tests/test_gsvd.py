@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gsvdkit import gsvd, matcore
 from gsvdkit.errors import DimensionMismatch, InvalidDimensions, RankOutOfRange
@@ -173,9 +174,9 @@ class TestQrSvdRankDisagreement:
         n = int(gen.integers(3, 8))
         stacked = gen.standard_normal((m, n))
         tol = Tolerance(rel=0.0, abs=cut)
-        q, r_up, _ = matcore.thin_qr(stacked, pivoted=True, tol=tol)
+        _, r_up, _ = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
         sv = np.linalg.svd(stacked, compute_uv=False)
-        assert q.shape[1] == qr_rank
+        assert int(np.count_nonzero(np.abs(np.diag(r_up)) > cut)) == qr_rank
         assert int(np.count_nonzero(sv > cut)) == svd_rank
 
         f = gsvd.gsvd_decompose(stacked[:3], stacked[3:], tol)
@@ -341,10 +342,14 @@ class TestDirections:
         a, b = random_pair(rng, 6, 5, 5, rank_a=3, rank_b=3)
         f = gsvd.gsvd_decompose(a, b, compact=compact)
         assert f.n_infinite and f.n_finite and f.n_zero
-        np.testing.assert_array_equal(
-            f.u_dirs(), np.column_stack([f.u_dir(i) for i in range(f.r)]))
-        np.testing.assert_array_equal(
-            f.v_dirs(), np.column_stack([f.v_dir(i) for i in range(f.r)]))
+        has_u = np.flatnonzero(f.c > 0)
+        u_cols = np.zeros((f.m1, f.r))
+        u_cols[:, has_u] = f.u[:, has_u]
+        has_v = np.flatnonzero(f.v_col_of >= 0)
+        v_cols = np.zeros((f.m2, f.r))
+        v_cols[:, has_v] = f.v[:, f.v_col_of[has_v]]
+        np.testing.assert_array_equal(f.u_dirs(), u_cols)
+        np.testing.assert_array_equal(f.v_dirs(), v_cols)
         assert not f.u_dirs()[:, f.c == 0].any() and not f.v_dirs()[:, f.s == 0].any()
 
     def test_empty(self):
@@ -376,6 +381,20 @@ class TestExpand:
             _, _, h_exp = gsvd.expand(f)
             assert h_exp.shape == (6, 6)
             assert matcore.numerical_rank(h_exp) == 6
+
+    def test_square_at_a_tiny_tolerance(self, rng):
+        # at rel = 1e-18 the roundoff of a rank-4 pair counts, so r = 6
+        # lies above the rank H shows at the default cutoff; H still gains
+        # exactly n - r rows
+        for _ in range(20):
+            z = rng.standard_normal((4, 8))
+            a = rng.standard_normal((3, 4)) @ z
+            b = rng.standard_normal((3, 4)) @ z
+            f = gsvd.gsvd_decompose(a, b, Tolerance(rel=1e-18))
+            c_exp, s_exp, h_exp = gsvd.expand(f)
+            assert f.r < 8 and h_exp.shape == (8, 8)
+            rebuilt = np.vstack([f.u @ c_exp, f.v @ s_exp]) @ h_exp
+            np.testing.assert_allclose(rebuilt, np.vstack([a, b]), atol=1e-12)
 
 
 class TestRqDrilldown:

@@ -59,37 +59,6 @@ class TestNumericalRank:
             assert matcore.numerical_rank(q1 @ m @ q2) == base
 
 
-class TestThinQr:
-    def test_identity(self):
-        q, r, perm = matcore.thin_qr(np.eye(3))
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
-        np.testing.assert_array_equal(perm, [0, 1, 2])
-
-    def test_single_column_normalization(self):
-        q, r, _ = matcore.thin_qr(np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(q, [[0.6], [0.8]], atol=1e-15)
-        np.testing.assert_allclose(r, [[5.0]], atol=1e-15)
-
-    def test_rank_one_pivoted(self):
-        m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        q, r, perm = matcore.thin_qr(m, pivoted=True)
-        assert q.shape == (2, 1)
-        assert r.shape == (1, 2)
-        np.testing.assert_allclose(m[:, perm], q @ r, atol=1e-14)
-
-    def test_reconstruction_bound_random(self, rng):
-        for _ in range(1000):
-            m_rows = int(rng.integers(1, 51))
-            n_cols = int(rng.integers(1, 31))
-            m = rng.standard_normal((m_rows, n_cols))
-            pivoted = bool(rng.integers(0, 2))
-            q, r, perm = matcore.thin_qr(m, pivoted=pivoted)
-            resid = np.linalg.norm(m[:, perm] - q @ r)
-            bound = 10 * matcore.EPS * np.linalg.norm(m) * max(m.shape)
-            assert resid <= bound
-
-
 class TestFullSvd:
     def test_diagonal(self):
         _, sigma, _ = matcore.full_svd(np.diag([3.0, 4.0]))

@@ -100,7 +100,7 @@ class TestHorizontalProjector:
         u = f.u.copy()
         u[:, 0] = np.cos(t) * f.u[:, 0] + np.sin(t) * f.u[:, 1]
         bent = dataclasses.replace(f, u=u)
-        with pytest.raises(NumericalCheckFailed):
+        with pytest.raises(NumericalCheckFailed, match=r"differ by \S+ > 1e-10"):
             quotient.horizontal_projector(bent, DIAG34, ROW11)
 
 

@@ -1,8 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gsvdkit import gsvd, subgeom
-from gsvdkit.errors import DimensionMismatch, NotOrthonormal, ZeroDenominator
+from gsvdkit import gsvd, matcore, subgeom
+from gsvdkit.errors import (
+    DimensionMismatch,
+    NotOrthonormal,
+    NumericalCheckFailed,
+    ZeroDenominator,
+)
 
 from conftest import random_orthonormal
 
@@ -103,6 +110,48 @@ class TestPrincipalAngles:
             assert np.linalg.norm(w.T @ w - np.eye(d1), 2) <= 1e-14
 
 
+def assert_matches_svd_route(a1, a2):
+    # the cosines against svd(Q1' Y) on the library's own bases, so both
+    # routes see the same dimensions
+    reference = np.linalg.svd(matcore.orth_basis(a1).T @ matcore.orth_basis(a2),
+                              compute_uv=False)
+    cosines = subgeom.principal_angles(a1, a2).cosines
+    assert cosines.shape == reference.shape
+    np.testing.assert_allclose(cosines, reference, rtol=0, atol=1e-13)
+
+
+class TestIllConditionedA1:
+    # a1 enters only through its orthonormal basis, so the cosines are as
+    # accurate as Q1 however badly a1 itself is conditioned
+
+    @pytest.mark.parametrize("seed", [*range(10), 150])
+    def test_rank_one_plus_roundoff_noise(self, seed):
+        # noise singular values land on either side of the rank cutoff;
+        # seed 150 puts them at 5.50e-14 against a cutoff of 5.47e-14
+        gen = np.random.default_rng(seed)
+        a1 = (np.outer(gen.standard_normal(22), gen.standard_normal(12))
+              + 1e-14 * gen.standard_normal((22, 12)))
+        a2 = gen.standard_normal((22, 5))
+        assert_matches_svd_route(a1, a2)
+
+    def test_low_rank_plus_noise_sweep(self, rng):
+        for _ in range(24):
+            r = int(rng.integers(1, 12))
+            noise = 10.0 ** rng.uniform(-14, -7)
+            a1 = (rng.standard_normal((40, r)) @ rng.standard_normal((r, 12))
+                  + noise * rng.standard_normal((40, 12)))
+            a2 = rng.standard_normal((40, int(rng.integers(1, 20))))
+            assert_matches_svd_route(a1, a2)
+
+    def test_full_rank_with_condition_1e9(self, rng):
+        for _ in range(5):
+            q = random_orthonormal(rng, 40, 12)
+            w = random_orthonormal(rng, 12, 12)
+            a1 = (q * np.logspace(0, -9, 12)) @ w.T
+            a2 = rng.standard_normal((40, 15))
+            assert_matches_svd_route(a1, a2)
+
+
 class TestAdditiveSplit:
     def test_top_bottom_reduces_to_plain_gsvd(self, rng):
         m = rng.standard_normal((6, 4))
@@ -182,6 +231,12 @@ class TestEllipseData:
             np.testing.assert_array_equal(getattr(comp, name), getattr(full, name))
         assert not full.cosine_directions[:, f.c == 0].any()
         assert not full.sine_directions[:, f.s == 0].any()
+
+    def test_off_sphere_factors_report_the_deviation(self):
+        f = gsvd.gsvd_decompose(np.eye(2), np.eye(2))
+        bent = dataclasses.replace(f, c=f.c * (1 + 1e-9))
+        with pytest.raises(NumericalCheckFailed, match=r"by \S+ > 1e-12"):
+            subgeom.ellipse_data(bent)
 
 
 class TestEnergy:

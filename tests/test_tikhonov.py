@@ -33,12 +33,33 @@ class TestProblem:
                                      rng.standard_normal((2, 4)),
                                      rng.standard_normal(5))
 
+    def test_rejects_a_negligible_beside_l(self, rng):
+        # full rank at its own scale, roundoff beside L: r_a = 0
+        with pytest.raises(SingularH):
+            tikhonov.TikhonovProblem(1e-20 * rng.standard_normal((6, 3)), np.eye(3),
+                                     rng.standard_normal(6))
+
+    def test_one_decomposition_per_problem(self, rng, monkeypatch):
+        calls = []
+        decompose = gsvd.gsvd_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(gsvd, "gsvd_decompose", counted)
+        p = random_problem(rng)
+        tikhonov.solve_path(p, [0.0, 1.0, 10.0])
+        for lam in (0.5, 1.0, 2.0):
+            tikhonov.lambda_factors(p, lam)
+        assert len(calls) == 1
+
 
 class TestLambdaFactors:
     def test_lambda_one_is_fixed_point(self, rng):
         p = random_problem(rng)
         base = tikhonov.base_factors(p)
-        lf = tikhonov.lambda_factors(p, 1.0, base=base)
+        lf = tikhonov.lambda_factors(p, 1.0)
         np.testing.assert_allclose(lf.c_lambda, base.c, atol=1e-14)
         np.testing.assert_allclose(lf.s_lambda, base.s, atol=1e-14)
         np.testing.assert_allclose(lf.h_lambda, base.h, atol=1e-13)
@@ -46,7 +67,7 @@ class TestLambdaFactors:
     def test_lambda_zero(self, rng):
         p = random_problem(rng)
         base = tikhonov.base_factors(p)
-        lf = tikhonov.lambda_factors(p, 0.0, base=base)
+        lf = tikhonov.lambda_factors(p, 0.0)
         assert np.all(lf.s_lambda == 0)
         assert np.all(lf.c_lambda == 1.0)
         # A = U H0 in the compact U basis
@@ -63,10 +84,9 @@ class TestLambdaFactors:
 
     def test_h0_identity_along_grid(self, rng):
         p = random_problem(rng)
-        base = tikhonov.base_factors(p)
         h0_ref = None
         for lam in (0.0, 0.1, 1.0, 10.0, 100.0):
-            lf = tikhonov.lambda_factors(p, lam, base=base)
+            lf = tikhonov.lambda_factors(p, lam)
             prod = lf.c_lambda[:, None] * lf.h_lambda
             assert np.linalg.norm(prod - lf.h0) <= 1e-11 * np.linalg.norm(lf.h0)
             if h0_ref is None:
@@ -79,7 +99,7 @@ class TestLambdaFactors:
             base = tikhonov.base_factors(p)
             tan1 = base.s / base.c
             for lam in (0.0, 0.5, 1.0, 3.0, 25.0):
-                lf = tikhonov.lambda_factors(p, lam, base=base)
+                lf = tikhonov.lambda_factors(p, lam)
                 expected = 1.0 / (1.0 + lam**2 * tan1**2)
                 np.testing.assert_allclose(lf.c_lambda**2, expected, atol=1e-12)
 
