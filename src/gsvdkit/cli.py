@@ -83,13 +83,7 @@ def _listify(a: np.ndarray):
 
 def generalized_value_tokens(f: gsvd.GsvdFactors):
     """Finite values as numbers, infinite ones as the token "inf"."""
-    out = []
-    for i in range(f.r):
-        if f.s[i] == 0.0:
-            out.append("inf")
-        else:
-            out.append(float(f.c[i] / f.s[i]))
-    return out
+    return ["inf" if np.isinf(x) else float(x) for x in f.cotangents()]
 
 
 def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) -> dict:
@@ -203,7 +197,7 @@ def cmd_tikhonov(args) -> int:
     a = read_matrix(args.a, args.header)
     l = read_matrix(args.l, args.header)
     b = read_vector(args.b, args.header)
-    lambdas = _parse_float_list(args.lambdas, "--lambdas")
+    lambdas = _parse_list(args.lambdas, "--lambdas", float)
     if any(x < 0 for x in lambdas):
         raise DomainError("--lambdas entries must be nonnegative")
     problem = tikhonov.TikhonovProblem(a, l, b)
@@ -225,7 +219,7 @@ def cmd_tikhonov(args) -> int:
 
 def cmd_anova(args) -> int:
     v = read_vector(args.data, args.header)
-    partition = _parse_int_list(args.partition, "--partition")
+    partition = _parse_list(args.partition, "--partition", int)
     if sum(partition) != v.size:
         raise InvalidPartition(
             f"partition sums to {sum(partition)} but data has {v.size} entries"
@@ -287,7 +281,7 @@ def cmd_angles(args) -> int:
 
 def cmd_reduce(args) -> int:
     m = read_matrix(args.data, args.header)
-    partition = _parse_int_list(args.partition, "--partition")
+    partition = _parse_list(args.partition, "--partition", int)
     if sum(partition) != m.shape[0]:
         raise InvalidPartition(
             f"partition sums to {sum(partition)} but data has {m.shape[0]} rows"
@@ -318,16 +312,9 @@ def cmd_jacobi(args) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _parse_float_list(text: str, flag: str):
+def _parse_list(text: str, flag: str, convert):
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise CsvParseError(f"{flag}: {exc}") from exc
-
-
-def _parse_int_list(text: str, flag: str):
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [convert(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise CsvParseError(f"{flag}: {exc}") from exc
 

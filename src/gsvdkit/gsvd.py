@@ -118,7 +118,7 @@ class GsvdFactors:
 
     def stacked_unit_basis(self) -> np.ndarray:
         """[U C; V S]: orthonormal columns spanning col([A; B])."""
-        return np.vstack([self.u @ self.c_matrix(), self.v @ self.s_matrix()])
+        return np.vstack([self.u_dirs() * self.c, self.v_dirs() * self.s])
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the stacked pair [A; B] from the factors."""
@@ -243,11 +243,9 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     q, rmat, perm = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
     qa, qb = q[:m1, :r], q[m1:, :r]
 
+    u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
     if compact:
-        u, cos_raw, w = matcore._svd(qa, complete_v=True)
         u = u[:, :r_a]
-    else:
-        u, cos_raw, w = matcore.full_svd(qa)
     c = np.zeros(r)
     c[: cos_raw.size] = np.clip(cos_raw, 0.0, 1.0)
 
@@ -258,9 +256,8 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     n_zero = r - r_a
     c[:n_inf] = 1.0
     s[:n_inf] = 0.0
-    if n_zero:
-        c[r - n_zero:] = 0.0
-        s[r - n_zero:] = 1.0
+    c[r - n_zero:] = 0.0
+    s[r - n_zero:] = 1.0
     mid = slice(n_inf, r - n_zero)
     hyp = np.hypot(c[mid], s[mid])
     c[mid] /= hyp
@@ -299,21 +296,23 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
 def structure_counts(f: GsvdFactors) -> CsStructure:
     """Block-column and zero-row counts determined by (r, r_a, r_b)."""
     return CsStructure(
-        n_infinite=f.r - f.r_b,
-        n_finite=f.r_a + f.r_b - f.r,
-        n_zero=f.r - f.r_a,
+        n_infinite=f.n_infinite,
+        n_finite=f.n_finite,
+        n_zero=f.n_zero,
         zero_rows_c=f.m1 - f.r_a,
         zero_rows_s=f.m2 - f.r_b,
     )
 
 
-def fundamental_subspaces(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> FundamentalBases:
+def fundamental_subspaces(f: GsvdFactors, a, b) -> FundamentalBases:
     """Extract bases for the fundamental subspaces of (a, b) from the factors.
 
     Column spaces and left nullspaces come from splitting the columns of U
-    and V at the zero columns of C and S; nullspaces combine pseudoinverse
-    columns of H (where C or S has a zero column) with the common nullspace,
-    which is null(H), read from the RQ drilldown.
+    at the zero columns of C, and those of V into the v_i that `v_col_of`
+    records and the rest, so either convention gives the same bases.
+    Nullspaces combine columns of H^+ (where C or S has a zero column),
+    taken at the rank r of the factors, with the common nullspace, which is
+    null(H), read from the RQ drilldown.
     """
     if f.compact:
         raise ValueError("fundamental_subspaces needs full-format factors")
@@ -321,15 +320,9 @@ def fundamental_subspaces(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) ->
     b = as_matrix(b)
     col_a = f.u[:, : f.r_a]
     left_null_a = f.u[:, f.r_a:]
-    col_b = f.v[:, f.m2 - f.r_b:]
-    left_null_b = f.v[:, : f.m2 - f.r_b]
-    if f.r > 0:
-        _, qfull = rq_drilldown(f)
-        common_null = qfull[:, : f.n - f.r]
-        hdag = matcore.pinv(f.h, tol)
-    else:
-        common_null = np.eye(f.n)
-        hdag = np.zeros((f.n, 0))
+    col_b, left_null_b = _v_split(f)
+    common_null = rq_drilldown(f)[1][:, : f.n - f.r]
+    hdag = _h_pinv(f)
     null_a = np.hstack([hdag[:, f.c == 0], common_null])
     null_b = np.hstack([hdag[:, f.s == 0], common_null])
     return FundamentalBases(
@@ -345,18 +338,32 @@ def compact(f: GsvdFactors) -> GsvdFactors:
     """Drop the zero rows of C and S and the matching columns of U and V.
 
     Keeps the column-space bases and the reconstruction property; the
-    left-nullspace bases are gone.  Idempotent.
+    left-nullspace bases are gone.  V keeps the leading r_b columns of the
+    top layout, the v_i in index order, so either convention compacts to the
+    same factors.  Idempotent.
     """
     if f.compact:
         return f
-    # the nonzero-sine columns of V are contiguous: at the right end under
-    # the bottom convention, at the left under the top one
-    start = int(f.v_col_of[f.n_infinite]) if f.r_b else 0
-    u = f.u[:, : f.r_a]
-    v = f.v[:, start: start + f.r_b]
-    v_col_of = f.v_col_of.copy()
-    v_col_of[v_col_of >= 0] -= start
-    return dataclasses.replace(f, u=u, v=v, v_col_of=v_col_of, compact=True)
+    top = with_top_convention(f)
+    return dataclasses.replace(top, u=f.u[:, : f.r_a], v=top.v[:, : f.r_b], compact=True)
+
+
+def _v_split(f: GsvdFactors):
+    # (sine columns, remaining columns) of f.v: the columns holding v_i for
+    # s_i > 0 in index order, read from v_col_of, then the rest in their
+    # order.  The sines are nonzero exactly past the infinite class.
+    sine = f.v_col_of[f.n_infinite:]
+    rest = np.ones(f.v.shape[1], dtype=bool)
+    rest[sine] = False
+    return f.v[:, sine], f.v[:, rest]
+
+
+def _h_pinv(f: GsvdFactors) -> np.ndarray:
+    # H^+ kept to r terms: H has full row rank r by construction, so no
+    # second rank decision is made on it.
+    if f.r == 0:
+        return np.zeros((f.n, 0))
+    return matcore._svd_pinv(*matcore._svd(f.h), f.r)
 
 
 def expand(f: GsvdFactors):
@@ -478,11 +485,12 @@ def parameter_count(m1: int, m2: int, n: int, r: int) -> dict:
 
 
 def with_top_convention(f: GsvdFactors) -> GsvdFactors:
-    """Re-express V with the nonzero-sine columns on the left (top-aligned S)."""
-    if f.compact:
-        return f
-    k = f.m2 - f.r_b
-    v = np.hstack([f.v[:, k:], f.v[:, :k]])
+    """Re-express V with the nonzero-sine columns on the left (top-aligned S).
+
+    The v_i are read from `v_col_of` and put first, in index order, ahead
+    of the remaining columns, so any layout in, full or compact, gives the
+    top layout out, and applying it twice changes nothing.
+    """
     v_col_of = f.v_col_of.copy()
-    v_col_of[v_col_of >= 0] -= k
-    return dataclasses.replace(f, v=v, v_col_of=v_col_of)
+    v_col_of[f.n_infinite:] = np.arange(f.r_b)
+    return dataclasses.replace(f, v=np.hstack(_v_split(f)), v_col_of=v_col_of)

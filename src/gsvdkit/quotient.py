@@ -23,7 +23,7 @@ from .errors import (
     NoAugmentationNeeded,
     NumericalCheckFailed,
 )
-from .gsvd import GsvdFactors, _decompose
+from .gsvd import GsvdFactors, _decompose, _h_pinv, _v_split
 from .matcore import Tolerance, as_matrix
 
 __all__ = [
@@ -93,19 +93,16 @@ def trig_table(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> TrigTable:
     cos: svd(A H^+) against the cosines, sin: svd(B H^+) against the sines,
     tan: svd(B A^+) against the tangents when r = r_a, cot: svd(A B^+)
     against the cotangents when r = r_b.  Rows whose rank condition fails
-    are reported as not applicable rather than compared.
+    are reported as not applicable rather than compared.  H^+ is taken at
+    the rank r of the factors.
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    hdag = matcore.pinv(f.h, tol) if f.r else np.zeros((f.n, 0))
+    hdag = _h_pinv(f)
     rows = []
 
-    if f.r:
-        cos_sv = matcore._svdvals(a @ hdag)
-        sin_sv = matcore._svdvals(b @ hdag)
-    else:
-        cos_sv = np.zeros(0)
-        sin_sv = np.zeros(0)
+    cos_sv = matcore._svdvals(a @ hdag)
+    sin_sv = matcore._svdvals(b @ hdag)
     rows.append(TrigRow("cos", True, f.c.copy(), cos_sv, _compare(f.c, cos_sv)))
     rows.append(TrigRow("sin", True, f.s.copy(), sin_sv, _compare(f.s, sin_sv)))
 
@@ -212,6 +209,8 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
     rank and no infinite generalized values; as eps -> 0 the finite values
     are held fixed and the formerly infinite ones behave as cot(eps).
     Needs m2 >= r so the sine diagonal has room for r nonzero entries.
+    V is rebuilt as [remaining columns | v_i] from `v_col_of` and the r
+    sines take its last r columns, so either convention gives the same pair.
     """
     if not 0.0 < epsilon < np.pi / 4:
         raise ValueError(f"epsilon must lie in (0, pi/4), got {epsilon}")
@@ -222,16 +221,13 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
             f"m2 = {f.m2} < r = {f.r}; zero-pad B with augment_rows first"
         )
     zero_s = f.s == 0
-    # the (1, 0) pairs get the sine slots of the completion block under the
-    # bottom convention, which must not hold any v_i already
-    v_col_of = np.where(zero_s, f.m2 - f.r + np.arange(f.r), f.v_col_of)
-    if np.isin(v_col_of[zero_s], f.v_col_of).any():
-        raise ValueError("limit_curve expects bottom-aligned factors")
+    sine, rest = _v_split(f)
     stacked = dataclasses.replace(
         f,
+        v=np.hstack([rest, sine]),
         c=np.where(zero_s, np.cos(epsilon), f.c),
         s=np.where(zero_s, np.sin(epsilon), f.s),
-        v_col_of=v_col_of,
+        v_col_of=f.m2 - f.r + np.arange(f.r),
     ).reconstruct()
     a_eps, b_eps = stacked[: f.m1], stacked[f.m1:]
     return LimitCurve(epsilon=epsilon, a_eps=a_eps, b_eps=b_eps)

@@ -17,7 +17,7 @@ from .errors import (
     InvalidPartition,
     ZeroWithin,
 )
-from .gsvd import GsvdFactors, _leading_terms
+from .gsvd import GsvdFactors, _h_pinv, _leading_terms
 from .matcore import EPS, Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -187,7 +187,7 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
     Takes gsvd(U2' M, W) and multiplies M on the right by
     G = H^+ I_{r, k-1}, whose k - 1 columns span the only directions with
     nonzero generalized singular values; those values are unchanged by the
-    reduction.  The projection W = M - Y1 Y1' M has the Gram of U3' M, so
+    reduction.  H^+ is taken at the rank r of those factors.  The projection W = M - Y1 Y1' M has the Gram of U3' M, so
     the factors are those of gsvd(U2' M, U3' M) at that pair's rank cutoff.
     Returns (G, M G).
     """
@@ -200,9 +200,11 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
     f = gsvd.gsvd_decompose(between, within, pair_tol, compact=True)
     # mean-only data leaves nothing but roundoff in both parts; judge that
     # against the scale of the data, not of the noise.  [U C; V S] has
-    # orthonormal columns, so ||H||_2 is the norm of the stacked parts.
-    if f.r == 0 or matcore._svdvals(f.h)[0] <= tol.cutoff(m.shape, np.linalg.norm(m, 2)):
+    # orthonormal columns, so ||H||_2 is the norm of the stacked parts, and
+    # [u1' M; H] has the Gram of u_split' M, so its norm is ||M||_2.
+    norm_m = matcore._svdvals(np.vstack([design.u1.T @ m, f.h]))[0]
+    if f.r == 0 or matcore._svdvals(f.h)[0] <= tol.cutoff(m.shape, norm_m):
         raise DegenerateData("between and within parts are both zero")
     cols = min(design.k - 1, f.r)
-    g = matcore.pinv(f.h, tol)[:, :cols]
+    g = _h_pinv(f)[:, :cols]
     return g, m @ g

@@ -145,7 +145,7 @@ def ellipse_data(f: GsvdFactors) -> EllipseData:
     """Semi-axes, unit-sphere hypotenuses, and angles for the ellipse picture."""
     cdirs = f.u_dirs()
     sdirs = f.v_dirs()
-    sphere = np.vstack([cdirs * f.c, sdirs * f.s])
+    sphere = f.stacked_unit_basis()
     if f.r:
         norms = np.linalg.norm(sphere, axis=0)
         dev = float(np.max(np.abs(norms - 1.0)))
@@ -176,14 +176,19 @@ def energy_point(a, e) -> np.ndarray:
     return e * float(np.dot(a @ e, a @ e))
 
 
-def energy_point2(a, b, e, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Point e * ||A e||^2 / ||B e||^2 of the two-matrix energy set."""
+def energy_point2(a, b, e) -> np.ndarray:
+    """Point e * ||A e||^2 / ||B e||^2 of the two-matrix energy set.
+
+    Raises ZeroDenominator where ||B e||^2 <= eps * max(b.shape) * ||B||_F^2,
+    a test relative to B's own scale: the point scales as 1/t^2 for B -> t B,
+    and a zero B always raises.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     e = _check_unit(as_vector(e))
     den = float(np.dot(b @ e, b @ e))
     scale = float(np.linalg.norm(b)) ** 2
-    if den <= max(scale, 1.0) * matcore.EPS * max(b.shape):
+    if den <= scale * matcore.EPS * max(b.shape):
         raise ZeroDenominator("||B e|| vanishes at this direction")
     return e * (float(np.dot(a @ e, a @ e)) / den)
 

@@ -509,3 +509,28 @@ class TestConventions:
         np.testing.assert_array_equal(ft.v_col_of[nz], np.arange(ft.r_b))
         stacked = np.vstack([a, b])
         assert np.linalg.norm(ft.reconstruct() - stacked) <= 1e-11 * np.linalg.norm(stacked)
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
+    def test_top_convention_idempotent(self, rng, compact):
+        a, b = random_pair(rng, 5, 6, 4, rank_b=2)
+        ft = gsvd.with_top_convention(gsvd.gsvd_decompose(a, b, compact=compact))
+        ftt = gsvd.with_top_convention(ft)
+        np.testing.assert_array_equal(ftt.v, ft.v)
+        np.testing.assert_array_equal(ftt.v_col_of, ft.v_col_of)
+        stacked = np.vstack([a, b])
+        assert np.linalg.norm(ftt.reconstruct() - stacked) <= 1e-11 * np.linalg.norm(stacked)
+
+    @pytest.mark.parametrize("rank_b", [0, 2, 5], ids=["rb_zero", "rb_mid", "rb_m2"])
+    def test_fundamental_subspaces_either_layout(self, rng, rank_b):
+        a = rng.standard_normal((5, 6)) @ random_orthonormal(rng, 6, 6)
+        b = np.zeros((5, 6))
+        if rank_b:
+            b = rng.standard_normal((5, rank_b)) @ rng.standard_normal((rank_b, 6))
+        f = gsvd.gsvd_decompose(a, b)
+        assert f.r_b == rank_b
+        bottom = gsvd.fundamental_subspaces(f, a, b)
+        top = gsvd.fundamental_subspaces(gsvd.with_top_convention(f), a, b)
+        for name in ("col_a", "col_b", "left_null_a", "left_null_b", "row_ab",
+                     "null_a", "null_b", "common_null"):
+            np.testing.assert_array_equal(getattr(top, name), getattr(bottom, name), err_msg=name)
+        assert np.linalg.norm(b - top.col_b @ (top.col_b.T @ b)) <= 1e-12 * max(np.linalg.norm(b), 1.0)

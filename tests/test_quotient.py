@@ -5,6 +5,7 @@ import pytest
 
 from gsvdkit import gsvd, quotient
 from gsvdkit.errors import NeedsAugmentation, NoAugmentationNeeded, NumericalCheckFailed
+from gsvdkit.matcore import Tolerance
 
 from conftest import random_pair
 
@@ -35,6 +36,25 @@ class TestTrigTable:
         table = quotient.trig_table(f, DIAG34, ROW11)
         assert not table.row("cot").applicable
         assert table.row("tan").applicable  # r = r_a = 2 here
+
+    def test_near_cutoff_h_keeps_all_r_directions(self):
+        # A carries directions of size 1 and 1e-10 (1 + 1e-7), just above the
+        # rel = 1e-10 cutoff, and B two more, so every cosine is exactly 1 or
+        # 0.  H's own computed singular values put its smallest at or below
+        # that cutoff, so a pseudoinverse thresholded there keeps r - 1
+        # directions and one unit cosine reads as 0.
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        ua, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        ub, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        a = (ua * [1.0, 1e-10 * (1 + 1e-7)]) @ q[:, [0, 3]].T
+        b = (ub * [0.5, 0.25]) @ q[:, [1, 2]].T
+        tol = Tolerance(rel=1e-10)
+        f = gsvd.gsvd_decompose(a, b, tol)
+        assert (f.r, f.r_a, f.r_b) == (4, 2, 2)
+        table = quotient.trig_table(f, a, b, tol)
+        assert table.row("cos").max_dev <= 1e-4
+        assert table.row("sin").max_dev <= 1e-4
 
     def test_cot_matches_when_b_full_rank(self, rng):
         for _ in range(10):
@@ -172,6 +192,19 @@ class TestLimitCurve:
         values = np.sort(fe.cotangents())
         assert abs(values[0] - 2.4) <= 1e-10
         assert abs(values[1] - 1 / np.tan(1e-2)) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["worked_example", "random"])
+    def test_top_layout_gives_the_same_pair(self, rng, case):
+        if case == "worked_example":
+            a, b = DIAG34, quotient.augment_rows(ROW11, 2)
+        else:
+            a, b = random_pair(rng, 5, 6, 4, rank_b=2)
+        f = gsvd.gsvd_decompose(a, b)
+        assert f.n_infinite
+        bottom = quotient.limit_curve(f, 1e-2)
+        top = quotient.limit_curve(gsvd.with_top_convention(f), 1e-2)
+        np.testing.assert_array_equal(top.a_eps, bottom.a_eps)
+        np.testing.assert_array_equal(top.b_eps, bottom.b_eps)
 
     def test_epsilon_domain(self):
         baug = quotient.augment_rows(ROW11, 2)

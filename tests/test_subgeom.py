@@ -254,6 +254,20 @@ class TestEnergy:
         out = subgeom.energy_point2(np.diag([3.0, 4.0]), np.eye(2), [0.0, 1.0])
         np.testing.assert_allclose(out, [0.0, 16.0])
 
+    def test_pair_form_scales_with_b(self, rng):
+        # the zero-denominator test is relative to B's own scale
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((4, 3))
+        e = rng.standard_normal(3)
+        e /= np.linalg.norm(e)
+        ref = subgeom.energy_point2(a, b, e)
+        for t in 10.0 ** np.arange(-9, 10):
+            np.testing.assert_allclose(subgeom.energy_point2(a, t * b, e) * t**2, ref, rtol=1e-13)
+        np.testing.assert_allclose(subgeom.energy_point2(np.eye(2), 1e-8 * np.eye(2), [1.0, 0.0]),
+                                   [1e16, 0.0], rtol=1e-13)
+        with pytest.raises(ZeroDenominator):
+            subgeom.energy_point2(a, np.zeros((4, 3)), e)
+
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             subgeom.energy_point2(np.eye(2), np.array([[1.0, 0.0]]), [0.0, 1.0])
