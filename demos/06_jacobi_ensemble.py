@@ -2,7 +2,8 @@
 
 For Gaussian A and B the eigenvalues of (A'A + B'B)^{-1} A'A are the
 squared cosines of the pair, with the beta-Jacobi joint density.  The
-sampler is seeded and counter-based, so every run reproduces.
+sampler reads them from the CS step of [A; B], batched; it is seeded and
+counter-based, so every run reproduces.
 """
 
 import numpy as np
@@ -54,8 +55,7 @@ print("=" * 64)
 print("4. Repulsion in action: a histogram of the n = 2 spectrum")
 print("=" * 64)
 params2 = jacobi.JacobiParams(m1=5, m2=6, n=2, beta=1)
-gen = jacobi.SeededRng(seed=99).generator()
-draws = np.array([jacobi.sample_manova(params2, gen) for _ in range(20_000)])
+draws = jacobi.empirical_check(params2, 20_000, jacobi.SeededRng(seed=99)).draws
 gaps = draws[:, 1] - draws[:, 0]
 hist, edges = np.histogram(gaps, bins=10, range=(0.0, 1.0))
 peak = hist.max()

@@ -316,8 +316,7 @@ def fundamental_subspaces(f: GsvdFactors, a, b) -> FundamentalBases:
     """
     if f.compact:
         raise ValueError("fundamental_subspaces needs full-format factors")
-    a = as_matrix(a)
-    b = as_matrix(b)
+    _check_pair(f, a, b)
     col_a = f.u[:, : f.r_a]
     left_null_a = f.u[:, f.r_a:]
     col_b, left_null_b = _v_split(f)
@@ -408,11 +407,21 @@ def rank_reduce(f: GsvdFactors, a, b, k: int):
     Returns the rank-<=k pair (A_k, B_k); equals multiplying [A; B] on the
     right by the oblique projector H^+ I_{r,k} I_{r,k}' H.
     """
+    _check_pair(f, a, b)
+    return _leading_terms(f, k)
+
+
+def _check_pair(f: GsvdFactors, a, b):
+    # (A, B) as matrices, or DimensionMismatch unless they have the shapes
+    # the factors were taken of.
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != (f.m1, f.n) or b.shape != (f.m2, f.n):
-        raise DimensionMismatch("matrix shapes do not match the factors")
-    return _leading_terms(f, k)
+        raise DimensionMismatch(
+            f"A is {a.shape[0]}x{a.shape[1]} and B is {b.shape[0]}x{b.shape[1]}, "
+            f"but the factors are of a {f.m1}x{f.n} and {f.m2}x{f.n} pair"
+        )
+    return a, b
 
 
 def _leading_terms(f: GsvdFactors, k: int):

@@ -23,7 +23,7 @@ from .errors import (
     NoAugmentationNeeded,
     NumericalCheckFailed,
 )
-from .gsvd import GsvdFactors, _decompose, _h_pinv, _v_split
+from .gsvd import GsvdFactors, _check_pair, _decompose, _h_pinv, _v_split
 from .matcore import Tolerance, as_matrix
 
 __all__ = [
@@ -96,8 +96,7 @@ def trig_table(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> TrigTable:
     are reported as not applicable rather than compared.  H^+ is taken at
     the rank r of the factors.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, b = _check_pair(f, a, b)
     hdag = _h_pinv(f)
     rows = []
 
@@ -130,8 +129,7 @@ def horizontal_projector(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> 
     c_i = 1; both constructions are computed and must agree, which guards
     the rank decisions behind the factors.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, b = _check_pair(f, a, b)
     nb = matcore.nullspace_basis(b, tol)
     a_norm = float(matcore._svdvals(a)[0]) if nb.shape[1] else 0.0
     return _projector(f, a, a_norm, nb, tol)

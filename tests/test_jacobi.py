@@ -83,6 +83,35 @@ class TestSampling:
             np.testing.assert_allclose(lam, np.sort(f.c**2), atol=1e-9)
 
 
+class TestCsSampler:
+    def test_matches_the_manova_eigenvalues(self):
+        # the pair a seed draws: A then B, and for beta = 2 the real [A; B]
+        # then the imaginary one
+        m1, m2, n = 5, 7, 3
+        for beta, seed in ((1, 3), (2, 4)):
+            gen = jacobi.SeededRng(seed).generator()
+            a = gen.standard_normal((m1, n))
+            b = gen.standard_normal((m2, n))
+            if beta == 2:
+                a = a + 1j * gen.standard_normal((m1, n))
+                b = b + 1j * gen.standard_normal((m2, n))
+            expected = np.linalg.eigvalsh(jacobi.manova_matrix(a, b))
+            params = jacobi.JacobiParams(m1=m1, m2=m2, n=n, beta=beta)
+            got = jacobi.sample_manova(params, jacobi.SeededRng(seed))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_batches_equal_the_sequential_stream(self):
+        params = jacobi.JacobiParams(m1=120, m2=120, n=5, beta=2)
+        n_samples = 1500
+        per_batch = jacobi._BATCH_NORMALS // (2 * 240 * 5)
+        assert n_samples > 3 * per_batch
+        report = jacobi.empirical_check(params, n_samples, jacobi.SeededRng(seed=12))
+        gen = jacobi.SeededRng(seed=12).generator()
+        sequential = np.array([jacobi.sample_manova(params, gen)
+                               for _ in range(n_samples)])
+        np.testing.assert_array_equal(report.draws, sequential)
+
+
 class TestDensity:
     def test_arcsine_value(self):
         params = jacobi.JacobiParams(m1=1, m2=1, n=1, beta=1)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gsvdkit import gsvd, quotient
-from gsvdkit.errors import NeedsAugmentation, NoAugmentationNeeded, NumericalCheckFailed
+from gsvdkit.errors import (
+    DimensionMismatch,
+    NeedsAugmentation,
+    NoAugmentationNeeded,
+    NumericalCheckFailed,
+)
 from gsvdkit.matcore import Tolerance
 
 from conftest import random_pair
@@ -68,6 +73,17 @@ class TestTrigTable:
             assert cot_row.applicable
             assert cot_row.max_dev <= 1e-9
 
+    def test_wrong_shapes_raise(self, rng):
+        # a 6x4 A, or the pair swapped, used to give a table with wrong
+        # deviations instead of an error
+        a = rng.standard_normal((5, 4))
+        b = rng.standard_normal((6, 4))
+        f = gsvd.gsvd_decompose(a, b)
+        with pytest.raises(DimensionMismatch):
+            quotient.trig_table(f, rng.standard_normal((6, 4)), b)
+        with pytest.raises(DimensionMismatch):
+            quotient.trig_table(f, b, a)
+
 
 class TestHorizontalProjector:
     def test_full_column_rank_b_gives_identity(self, rng):
@@ -122,6 +138,28 @@ class TestHorizontalProjector:
         bent = dataclasses.replace(f, u=u)
         with pytest.raises(NumericalCheckFailed, match=r"differ by \S+ > 1e-10"):
             quotient.horizontal_projector(bent, DIAG34, ROW11)
+
+    def test_wrong_shapes_raise(self, rng):
+        # an A with the wrong row count used to be ignored, and a B with the
+        # wrong row count to fail the projector cross-check
+        a, b = rank_deficient_b(rng, 5, 6, 4, 3)
+        f = gsvd.gsvd_decompose(a, b)
+        with pytest.raises(DimensionMismatch):
+            quotient.horizontal_projector(f, a[:3], b)
+        with pytest.raises(DimensionMismatch):
+            quotient.horizontal_projector(f, a, b[:2])
+
+    @pytest.mark.xfail(
+        raises=NumericalCheckFailed, strict=True,
+        reason="B small beside A: the CS step takes W from the SVD of Qa alone, "
+               "so the c = 1 columns of U are off by 6.4e-7 against the 1e-10 "
+               "projector cross-check (ROADMAP item 1)")
+    def test_small_b_pair_passes_the_cross_check(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 4))
+        b = 1e-4 * rng.standard_normal((3, 4))
+        quotient.horizontal_projector(gsvd.gsvd_decompose(a, b), a, b)
+        quotient.quotient_check(a, b)
 
 
 class TestQuotientCheck:
