@@ -134,7 +134,7 @@ def _cs_sample(params: JacobiParams, gen: np.random.Generator, k: int) -> np.nda
 def sample_manova(params: JacobiParams, rng) -> np.ndarray:
     """One draw of the MANOVA eigenvalues, sorted ascending, clamped to [0, 1].
 
-    Read as the squared CS cosines of a Gaussian pair, not eigvalsh(manova_matrix).
+    Read as the squared CS cosines of a Gaussian pair (see the module docstring).
     `rng` may be a SeededRng (a fresh stream is opened) or a live
     numpy Generator (consumed statefully, for repeated draws).
     """

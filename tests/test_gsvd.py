@@ -253,16 +253,6 @@ class TestFundamentalSubspaces:
             assert bases.left_null_a.shape == (6, 6 - f.r_a)
             assert bases.col_b.shape == (5, f.r_b)
             assert bases.common_null.shape == (6, f.n - f.r)
-
-    def test_wrong_shapes_raise(self, rng):
-        # bases of the factors used to come back for any (a, b) at all
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((6, 4))
-        f = gsvd.gsvd_decompose(a, b)
-        with pytest.raises(DimensionMismatch):
-            gsvd.fundamental_subspaces(f, np.ones((2, 9)), np.ones((3, 7)))
-        with pytest.raises(DimensionMismatch):
-            gsvd.fundamental_subspaces(f, b, a)
             scale = np.linalg.norm(np.vstack([a, b]))
             assert np.linalg.norm(a @ bases.common_null) <= 1e-10 * scale
             assert np.linalg.norm(b @ bases.common_null) <= 1e-10 * scale
@@ -273,6 +263,16 @@ class TestFundamentalSubspaces:
             assert bases.null_a.shape[1] == f.n - f.r_a
             assert bases.null_b.shape[1] == f.n - f.r_b
             assert np.linalg.norm(a.T @ bases.left_null_a) <= 1e-10 * scale
+
+    def test_wrong_shapes_raise(self, rng):
+        # bases of the factors used to come back for any (a, b) at all
+        a = rng.standard_normal((5, 4))
+        b = rng.standard_normal((6, 4))
+        f = gsvd.gsvd_decompose(a, b)
+        with pytest.raises(DimensionMismatch):
+            gsvd.fundamental_subspaces(f, np.ones((2, 9)), np.ones((3, 7)))
+        with pytest.raises(DimensionMismatch):
+            gsvd.fundamental_subspaces(f, b, a)
 
 
 class TestCompact:
