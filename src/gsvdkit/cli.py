@@ -2,10 +2,14 @@
 
 Subcommands: gsvd, tikhonov, anova, ellipse, angles, reduce, jacobi,
 verify.  Matrices come in as headerless CSV (RFC-4180 quoting, '.'
-decimal); structured output is JSON with round-trip-exact floats, and
-infinite generalized values are spelled as the token "inf", never as an
-IEEE infinity.  Exit codes: 0 ok, 2 parse, 3 dimension/partition, 4 rank
-precondition, 5 numeric failure.
+decimal) and go out as CSV with 17 significant digits, byte for byte
+what np.savetxt(path, m, fmt="%.17g", delimiter=",") writes.  Structured
+output is JSON with one top-level key per line and list entries (matrix
+rows, Tikhonov solutions) one per line; floats are written as their
+Python repr, so they round-trip exactly, and infinite generalized values
+are spelled as the token "inf", never as an IEEE infinity.  Exit codes:
+0 ok, 2 parse, 3 dimension/partition, 4 rank precondition, 5 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,10 +48,10 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
                 if not cells:
                     continue
                 try:
-                    row = [float(cell) for cell in cells]
+                    row = list(map(float, cells))
                 except ValueError as exc:
                     raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
-                if any(not np.isfinite(x) for x in row):
+                if not all(map(math.isfinite, row)):
                     raise CsvParseError(f"{path}:{lineno}: non-finite value")
                 if rows and len(row) != len(rows[0]):
                     raise CsvParseError(
@@ -69,10 +74,10 @@ def read_vector(path: str, header: bool = False) -> np.ndarray:
 
 def write_matrix(path: str, m: np.ndarray) -> None:
     m = np.atleast_2d(m)
+    row_fmt = ",".join([CSV_FMT] * m.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for row in m:
-            fh.write(",".join(CSV_FMT % x for x in row))
-            fh.write("\n")
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def _listify(a: np.ndarray):
@@ -133,9 +138,25 @@ def factors_from_document(doc: dict) -> gsvd.GsvdFactors:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    # json.dump with an indent runs the pure-Python encoder; json.dumps
+    # without one runs the C encoder.  So the layout (one top-level key
+    # per line, one list entry per line) is written here, each piece is
+    # encoded by json.dumps, and each is written as soon as it is encoded.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{")
+        key_sep = "\n"
+        for key, value in doc.items():
+            fh.write(key_sep + json.dumps(key) + ": ")
+            key_sep = ",\n"
+            if isinstance(value, list) and value:
+                item_sep = "[\n"
+                for item in value:
+                    fh.write(item_sep + json.dumps(item))
+                    item_sep = ",\n"
+                fh.write("\n]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("\n}\n")
 
 
 def _fmt_values(tokens) -> str:
@@ -205,12 +226,13 @@ def cmd_tikhonov(args) -> int:
     print(f"{'lambda':>12} {'||x||':>18}")
     doc_rows = []
     for lam, x, damp in path:
-        print(f"{lam:>12g} {np.linalg.norm(x):>18.12g}")
+        x_norm = float(np.linalg.norm(x))
+        print(f"{lam:>12g} {x_norm:>18.12g}")
         doc_rows.append({
             "lambda": lam,
             "x": _listify(x),
             "damping": _listify(damp),
-            "x_norm": float(np.linalg.norm(x)),
+            "x_norm": x_norm,
         })
     if args.json:
         _write_json(args.json, {"solutions": doc_rows})

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsvdkit import cli, gsvd, jacobi
+from gsvdkit import cli, gsvd, jacobi, subgeom, tikhonov
 from gsvdkit.matcore import Tolerance
 
 
@@ -62,6 +62,43 @@ class TestGsvdCommand:
                     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
                 assert doc == want
                 assert cli.main(["verify", pa, pb, out]) == 0
+        # every JSON file loads back as exactly the in-process document:
+        # the factors on either route and convention, a Tikhonov path and
+        # the ellipse data
+        for i, (pa, pb) in enumerate(pairs):
+            ma, mb = cli.read_matrix(pa), cli.read_matrix(pb)
+            out = str(tmp_path / f"factors{i}.json")
+            for compact in (False, True):
+                for convention in ("bottom", "top"):
+                    flags = ["--compact"] * compact + ["--convention", convention]
+                    assert cli.main(["gsvd", pa, pb, *flags, "--json", out]) == 0
+                    f = gsvd.gsvd_decompose(ma, mb, compact=compact)
+                    if convention == "top":
+                        f = gsvd.with_top_convention(f)
+                    want = cli.factors_to_document(f, Tolerance(), convention)
+                    assert json.load(open(out)) == json.loads(json.dumps(want))
+            out = str(tmp_path / f"ellipse{i}.json")
+            assert cli.main(["ellipse", pa, pb, "--json", out]) == 0
+            data = subgeom.ellipse_data(gsvd.gsvd_decompose(ma, mb))
+            doc = json.load(open(out))
+            for key in ("cosine_lengths", "cosine_directions", "sine_lengths",
+                        "sine_directions", "sphere_points", "angles"):
+                assert doc[key] == getattr(data, key).tolist()
+            assert doc["cosine_boundary"] == cli._ellipse_boundary(
+                data.cosine_lengths, data.cosine_directions)
+            assert doc["sine_boundary"] == cli._ellipse_boundary(
+                data.sine_lengths[::-1], data.sine_directions[:, ::-1])
+        files = [write_csv(tmp_path / "ta.csv", rng.standard_normal((6, 3))),
+                 write_csv(tmp_path / "tl.csv", np.eye(3)),
+                 write_csv(tmp_path / "tb.csv", rng.standard_normal((6, 1)))]
+        out = str(tmp_path / "path.json")
+        assert cli.main(["tikhonov", *files, "--lambdas", "0,0.5,2", "--json", out]) == 0
+        problem = tikhonov.TikhonovProblem(*(cli.read_matrix(p) for p in files[:2]),
+                                           cli.read_vector(files[2]))
+        want = [{"lambda": lam, "x": x.tolist(), "damping": damp.tolist(),
+                 "x_norm": float(np.linalg.norm(x))}
+                for lam, x, damp in tikhonov.solve_path(problem, [0.0, 0.5, 2.0])]
+        assert json.load(open(out)) == {"solutions": want}
 
     def test_top_convention(self, worked_example, tmp_path):
         a, b = worked_example
@@ -90,6 +127,20 @@ class TestGsvdCommand:
         bad.write_text("1,2\n3\n")
         assert cli.main(["gsvd", a, str(bad)]) == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\n3,nan\n", 2),
+        ("inf,2\n3,4\n", 1),
+        # a non-finite line is reported before a later ragged one
+        ("1,2\n3,-inf\n5\n", 2),
+    ])
+    def test_non_finite_cell_exit_2_names_line(self, tmp_path, capsys, text, line):
+        a = write_csv(tmp_path / "a.csv", [[1, 2]])
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert cli.main(["gsvd", a, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.csv:{line}: non-finite value" in err
+
     def test_csv_prefix_outputs(self, worked_example, tmp_path):
         a, b = worked_example
         prefix = str(tmp_path / "out")
@@ -101,6 +152,24 @@ class TestGsvdCommand:
         h = cli.read_matrix(prefix + "_H.csv")
         rebuilt = np.vstack([u @ c, v @ s]) @ h
         np.testing.assert_allclose(rebuilt, [[3, 0], [0, 4], [1, 1]], atol=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[-0.0, 0.0, 5e-324, 1 / 3], [1e308, -1e308, -2.5e-310, 7.0]]),
+        np.arange(1.0, 6.0)[None, :] / 7,
+        np.arange(1.0, 6.0)[:, None] / 7,
+        np.zeros((3, 0)),
+    ], ids=["special_values", "row", "column", "no_columns"])
+    def test_csv_bytes_and_bits(self, tmp_path, m):
+        # CSV output is what np.savetxt writes at 17 significant digits,
+        # and reading it back gives the same bits, signed zeros included
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        cli.write_matrix(str(ours), m)
+        np.savetxt(ref, m, fmt="%.17g", delimiter=",")
+        assert ours.read_bytes() == ref.read_bytes()
+        if m.size:
+            back = cli.read_matrix(str(ours))
+            assert np.array_equal(back, m)
+            np.testing.assert_array_equal(np.signbit(back), np.signbit(m))
 
     def test_header_flag(self, tmp_path):
         a = tmp_path / "a.csv"
