@@ -124,6 +124,9 @@ def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) ->
 
 
 def factors_from_document(doc: dict) -> gsvd.GsvdFactors:
+    for key in ("c", "s", "v_col_of"):
+        if len(doc[key]) != int(doc["r"]):
+            raise DimensionMismatch(f"{key} has {len(doc[key])} entries, r = {doc['r']}")
     return gsvd.GsvdFactors(
         u=np.array(doc["u"], dtype=float),
         v=np.array(doc["v"], dtype=float),
@@ -202,16 +205,38 @@ def cmd_verify(args) -> int:
     with open(args.json, encoding="utf-8") as fh:
         doc = json.load(fh)
     f = factors_from_document(doc)
-    stacked = np.vstack([a, b])
-    resid = np.linalg.norm(f.reconstruct() - stacked)
-    denom = max(np.linalg.norm(stacked), 1e-300)
-    rel = resid / denom
-    print(f"reconstruction residual: {rel:.3e} (relative Frobenius)")
-    if rel > 1e-10:
+    failed = False
+    for label, dev in _factor_deviations(f, np.vstack([a, b])):
+        print(f"{label}: {dev:.3g}")
+        failed |= not dev <= 1e-10
+    if failed:
         print("verify: FAIL", file=sys.stderr)
         return 5
     print("verify: OK")
     return 0
+
+
+def _factor_deviations(f: gsvd.GsvdFactors, stacked: np.ndarray):
+    # (label, deviation) for each property `verify` certifies: the product,
+    # then the factors themselves, since a product can be right with U
+    # scaled by t and C by 1/t.  Compact U and V have orthonormal columns.
+    # v_col_of must hold -1 exactly where s_i = 0 and otherwise a column of
+    # V that no other v_i holds; the product is formed only when it does.
+    placed = f.v_col_of[f.s > 0]
+    misplaced = (np.count_nonzero(f.v_col_of[f.s <= 0] != -1) + placed.size
+                 - np.unique(placed[(placed >= 0) & (placed < f.v.shape[1])]).size)
+    rel = np.inf
+    if misplaced == 0:
+        rel = np.linalg.norm(f.reconstruct() - stacked) / max(np.linalg.norm(stacked), 1e-300)
+    yield "reconstruction residual (relative Frobenius)", rel
+    for name, q in (("U", f.u), ("V", f.v)):
+        yield f"||{name}'{name} - I||_F", np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+    yield "max |c^2 + s^2 - 1|", np.max(np.abs(f.c * f.c + f.s * f.s - 1.0), initial=0.0)
+    # c descending and s ascending, both in [0, 1]: the largest step the
+    # wrong way or distance outside the interval
+    yield "c, s order and range", np.max(np.concatenate([
+        np.diff(f.c), -np.diff(f.s), -f.c, f.c - 1.0, -f.s, f.s - 1.0]), initial=0.0)
+    yield "v_col_of misplaced entries", float(misplaced)
 
 
 def cmd_tikhonov(args) -> int:

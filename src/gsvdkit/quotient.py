@@ -4,7 +4,10 @@ The finite nonzero generalized singular values of (A, B) equal the nonzero
 singular values of P A B^+, where P projects onto the left nullspace of
 A N and N spans null(B).  Without P the relation fails exactly when B is
 rank deficient relative to the stacked pair (r_b < r), i.e. when infinite
-generalized values exist.  This module computes the trigonometry table,
+generalized values exist.  The projector makes no rank decision of its
+own: N is cut at the factors' r_b and A N has rank r - r_b, the count of
+c_i = 1, so B's rank is judged once, by the GSVD, at the stacked pair's
+scale.  This module computes the trigonometry table,
 the projector, the three value lists side by side, and the limit curves
 that approach infinite values through finite ones.
 """
@@ -122,37 +125,31 @@ def trig_table(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> TrigTable:
     return TrigTable(rows=tuple(rows))
 
 
-def horizontal_projector(f: GsvdFactors, a, b, tol: Tolerance = Tolerance()) -> HorizontalProjector:
+def horizontal_projector(f: GsvdFactors, a, b) -> HorizontalProjector:
     """Orthogonal projector onto the left nullspace of A N, N spanning null(B).
 
     Equivalently P fixes every u_i with c_i < 1 and kills the u_i with
-    c_i = 1; both constructions are computed and must agree, which guards
-    the rank decisions behind the factors.
+    c_i = 1; both constructions are computed and must agree.  Both take
+    their ranks from the factors, N as the trailing n - r_b right singular
+    vectors of B and A N at rank r - r_b, so the check guards the factors.
     """
     a, b = _check_pair(f, a, b)
-    nb = matcore.nullspace_basis(b, tol)
-    a_norm = float(matcore._svdvals(a)[0]) if nb.shape[1] else 0.0
-    return _projector(f, a, a_norm, nb, tol)
+    return _projector(f, a, matcore._svd(b, complete_v=True)[2][:, f.r_b:])
 
 
-def _projector(f: GsvdFactors, a: np.ndarray, a_norm: float, nb: np.ndarray,
-               tol: Tolerance) -> HorizontalProjector:
-    # horizontal_projector given ||A||_2 and an orthonormal basis nb of null(B)
+def _projector(f: GsvdFactors, a: np.ndarray, nb: np.ndarray) -> HorizontalProjector:
+    # horizontal_projector given an orthonormal basis nb of null(B); A N has
+    # rank r - r_b, the count of c_i = 1, by the structure of the factors
     m1 = f.m1
-    if nb.shape[1] == 0:
+    k = f.n_infinite
+    if k == 0:
         p = np.eye(m1)
-        kept = m1
     else:
-        # N has unit columns, so sigma(AN) <= sigma_max(A): judge which
-        # directions are real against A's scale, not AN's own
-        uan, sv, _ = matcore._svd(a @ nb)
-        k = int(np.count_nonzero(sv > tol.cutoff(a.shape, a_norm)))
-        qan = uan[:, :k]
+        qan = matcore._svd(a @ nb)[0][:, :k]
         p = np.eye(m1) - qan @ qan.T
-        kept = m1 - k
 
     # the c_i = 1 columns lead U in either format
-    u1 = f.u[:, : f.n_infinite]
+    u1 = f.u[:, :k]
     p_from_u = np.eye(m1) - u1 @ u1.T
     dev = float(np.linalg.norm(p - p_from_u))
     if dev > 1e-10:
@@ -160,14 +157,15 @@ def _projector(f: GsvdFactors, a: np.ndarray, a_norm: float, nb: np.ndarray,
             "projector constructions via null(B) and via the c_i = 1 columns "
             f"differ by {dev:.2e} > 1e-10"
         )
-    return HorizontalProjector(p=p, kept_dim=kept)
+    return HorizontalProjector(p=p, kept_dim=m1 - k)
 
 
 def quotient_check(a, b, tol: Tolerance = Tolerance()):
     """Return (finite nonzero cotangents, nonzero svd(P A B^+), nonzero svd(A B^+)).
 
     The first two lists agree; the third exhibits the discrepancy whenever
-    r_b < r.  All lists are sorted descending.
+    r_b < r.  All lists are sorted descending.  B^+ and null(B) are cut at
+    the GSVD's r_b, so B's rank is decided once, at the stacked pair's scale.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -179,12 +177,11 @@ def quotient_check(a, b, tol: Tolerance = Tolerance()):
     f, sv_a = _decompose(a, b, tol, compact=True)
     a_norm = float(sv_a[0])
     ub, sv_b, vb = matcore._svd(b, complete_v=True)
-    k_b = matcore._rank_of(sv_b, b.shape, tol)
-    proj = _projector(f, a, a_norm, vb[:, k_b:], tol)
-    abdag = a @ matcore._svd_pinv(ub, sv_b, vb, k_b)
+    proj = _projector(f, a, vb[:, f.r_b:])
+    abdag = a @ matcore._svd_pinv(ub, sv_b, vb, f.r_b)
     # entries of A B^+ carry absolute noise ~ eps ||A|| ||B^+||; singular
     # values below that floor are indistinguishable from zero
-    bdag_norm = 1.0 / sv_b[k_b - 1] if k_b else 0.0
+    bdag_norm = 1.0 / sv_b[f.r_b - 1] if f.r_b else 0.0
     floor = matcore.EPS * max(max(a.shape), max(b.shape)) * a_norm * bdag_norm
     sv_ab = _nonzero(matcore._svdvals(abdag), abdag.shape, tol, floor)
     pab = proj.p @ abdag

@@ -6,6 +6,8 @@ import pytest
 from gsvdkit import cli, gsvd, jacobi, subgeom, tikhonov
 from gsvdkit.matcore import Tolerance
 
+from conftest import random_pair
+
 
 def write_csv(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
@@ -229,6 +231,81 @@ class TestVerifyCommand:
         with open(out, "w") as fh:
             json.dump(doc, fh)
         assert cli.main(["verify", a, b, out]) == 5
+
+    def test_scaled_u_with_compensating_c_exits_5(self, worked_example, tmp_path, capsys):
+        # U doubled and c halved leave the product, and so the residual,
+        # unchanged; U'U = 4 I and c^2 + s^2 != 1 give them away
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        cli.main(["gsvd", a, b, "--json", out])
+        doc = json.load(open(out))
+        doc["u"] = (2.0 * np.array(doc["u"])).tolist()
+        doc["c"] = [x / 2.0 for x in doc["c"]]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 5
+        captured = capsys.readouterr()
+        assert "verify: FAIL" in captured.err
+        assert "verify: OK" not in captured.out
+
+    @pytest.mark.parametrize("change", ["shared column", "column out of range",
+                                        "swapped order"])
+    def test_misplaced_or_misordered_factors_exit_5(self, tmp_path, change):
+        # worked example with B padded to two rows: c = (1, 0.92), s = (0,
+        # 0.38), v_col_of = (-1, 1).  Pointing the s = 0 index at v_1's
+        # column, or swapping the two indices throughout, leaves the product
+        # as it was; a column past V's edge leaves no product to form
+        a = write_csv(tmp_path / "a.csv", [[3, 0], [0, 4]])
+        b = write_csv(tmp_path / "b.csv", [[1, 1], [0, 0]])
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = json.load(open(out))
+        assert doc["v_col_of"] == [-1, 1]
+        if change == "shared column":
+            doc["v_col_of"] = [1, 1]
+        elif change == "column out of range":
+            doc["v_col_of"] = [-1, 7]
+        else:
+            for key in ("c", "s", "v_col_of", "h"):
+                doc[key] = doc[key][::-1]
+            doc["u"] = [row[::-1] for row in doc["u"]]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        assert cli.main(["verify", a, b, out]) == 5
+
+    @pytest.mark.parametrize("key", ["c", "s", "v_col_of"])
+    def test_value_list_of_the_wrong_length_exits_3(self, worked_example, tmp_path, key):
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        cli.main(["gsvd", a, b, "--json", out])
+        doc = json.load(open(out))
+        doc[key] = doc[key][:1]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        assert cli.main(["verify", a, b, out]) == 3
+
+    def test_valid_documents_pass_every_check(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        pairs = [
+            (rng.standard_normal((7, 5)), rng.standard_normal((6, 5))),
+            (rng.standard_normal((5, 6)),
+             rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6))),
+            random_pair(rng, 5, 4, 6, rank_a=3, rank_b=2, common_null=2),
+        ]
+        for i, (ma, mb) in enumerate(pairs):
+            pa = write_csv(tmp_path / f"a{i}.csv", ma.tolist())
+            pb = write_csv(tmp_path / f"b{i}.csv", mb.tolist())
+            out = str(tmp_path / f"f{i}.json")
+            for flags in ([], ["--compact"]):
+                for convention in ("bottom", "top"):
+                    assert cli.main(["gsvd", pa, pb, *flags, "--convention", convention,
+                                     "--json", out]) == 0
+                    capsys.readouterr()
+                    assert cli.main(["verify", pa, pb, out]) == 0
+                    printed = capsys.readouterr().out
+                    assert printed.endswith("verify: OK\n")
+                    assert "||U'U - I||_F" in printed and "v_col_of" in printed
 
 
 class TestTikhonovCommand:

@@ -168,6 +168,14 @@ class TestEmpiricalCheck:
         assert report.ks_distance is not None
         assert report.ks_distance < 0.02
 
+    def test_ks_distance_against_scipy_stats(self):
+        params = jacobi.JacobiParams(m1=3, m2=5, n=1, beta=1)
+        report = jacobi.empirical_check(params, 3000, jacobi.SeededRng(seed=5))
+        cdf = scipy.stats.beta(1.5, 2.5).cdf(np.sort(report.draws[:, 0]))
+        grid = np.arange(1, 3001) / 3000
+        expected = np.max(np.maximum(grid - cdf, cdf - (grid - 1 / 3000)))
+        assert report.ks_distance == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_trace_mean_for_symmetric_shapes(self):
         # m1 = m2 makes the eigenvalue sum symmetric about n/2
         params = jacobi.JacobiParams(m1=4, m2=4, n=2, beta=1)

@@ -161,6 +161,44 @@ class TestHorizontalProjector:
         quotient.horizontal_projector(gsvd.gsvd_decompose(a, b), a, b)
         quotient.quotient_check(a, b)
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e-16])
+    def test_roundoff_b_passes_the_cross_check(self, scale):
+        # B is roundoff beside A, so r_b = 0 and every c_i is 1; B's own
+        # SVD still finds rank 3, and a null(B) cut there left A N too
+        # narrow for the r - r_b = 4 directions the factors kill
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((6, 4))
+            b = scale * rng.standard_normal((3, 4))
+            f = gsvd.gsvd_decompose(a, b)
+            assert f.r_b == 0
+            proj = quotient.horizontal_projector(f, a, b)
+            assert proj.kept_dim == 6 - f.n_infinite
+            gsv, sv_pab, _ = quotient.quotient_check(a, b)
+            assert gsv.size == sv_pab.size
+
+    def test_kept_dim_is_m1_minus_the_infinite_count(self, rng):
+        for _ in range(20):
+            a, b = rank_deficient_b(rng, 6, 5, 4, 2)
+            f = gsvd.gsvd_decompose(a, b)
+            assert quotient.horizontal_projector(f, a, b).kept_dim == f.m1 - f.n_infinite
+
+    @pytest.mark.xfail(
+        raises=NumericalCheckFailed, strict=True,
+        reason="B small beside A: null(B) and A N now read r_b from the factors, "
+               "but the c = 1 columns of U come from the SVD of Qa alone and miss "
+               "the 1e-10 projector cross-check (ROADMAP item 1)")
+    def test_tiny_b_pair_at_the_stacked_rank_passes_the_cross_check(self):
+        # r_b = 2 at the stacked pair's cutoff, against rank 3 at B's own scale
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 4))
+        b = 1e-14 * rng.standard_normal((3, 4))
+        f = gsvd.gsvd_decompose(a, b)
+        assert f.r_b == 2
+        assert np.linalg.matrix_rank(b) == 3
+        quotient.horizontal_projector(f, a, b)
+        quotient.quotient_check(a, b)
+
 
 class TestQuotientCheck:
     def test_worked_example(self):
