@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -26,6 +27,7 @@ from . import gsvd, jacobi, stats, subgeom, tikhonov
 from .errors import (
     CsvParseError,
     DimensionMismatch,
+    DocumentError,
     DomainError,
     GsvdKitError,
     InvalidPartition,
@@ -92,8 +94,7 @@ def generalized_value_tokens(f: gsvd.GsvdFactors):
 
 
 def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) -> dict:
-    counts = gsvd.structure_counts(f)
-    app = stats.apportion(f)
+    angles = f.theta()
     return {
         "m1": f.m1, "m2": f.m2, "n": f.n,
         "r": f.r, "ra": f.r_a, "rb": f.r_b,
@@ -106,38 +107,68 @@ def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) ->
         "s": _listify(f.s),
         "h": f.h.tolist(),
         "v_col_of": [int(j) for j in f.v_col_of],
-        "structure": {
-            "n_infinite": counts.n_infinite,
-            "n_finite": counts.n_finite,
-            "n_zero": counts.n_zero,
-            "zero_rows_c": counts.zero_rows_c,
-            "zero_rows_s": counts.zero_rows_s,
-        },
+        "structure": dataclasses.asdict(gsvd.structure_counts(f)),
         "generalized_values": generalized_value_tokens(f),
-        "angles": _listify(f.theta()),
+        "angles": _listify(angles),
         "apportionment": {
-            "theta_lo": float(np.pi / 8),
-            "theta_hi": float(3 * np.pi / 8),
-            "labels": list(app.labels),
+            "theta_lo": stats.THETA_LO,
+            "theta_hi": stats.THETA_HI,
+            "labels": list(stats._band_labels(angles)),
         },
     }
 
 
-def factors_from_document(doc: dict) -> gsvd.GsvdFactors:
-    for key in ("c", "s", "v_col_of"):
-        if len(doc[key]) != int(doc["r"]):
-            raise DimensionMismatch(f"{key} has {len(doc[key])} entries, r = {doc['r']}")
+def factors_from_document(doc) -> gsvd.GsvdFactors:
+    """The factors a `factors_to_document` document holds, checked first.
+
+    DocumentError (exit 2) unless the document is an object holding every
+    key the factors need, the dimensions and ranks as nonnegative integers,
+    `v_col_of` as integers and `compact` as a boolean; DimensionMismatch
+    (exit 3) unless U, V, H and the value lists have the shapes those
+    dimensions and ranks give.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
+    dims = ("m1", "m2", "n", "r", "ra", "rb")
+    arrays = ("u", "v", "c", "s", "h", "v_col_of")
+    missing = [key for key in (*dims, "compact", *arrays) if key not in doc]
+    if missing:
+        raise DocumentError(f"missing keys: {', '.join(missing)}")
+    for key in dims:
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise DocumentError(f"{key} must be a nonnegative integer, got {doc[key]!r}")
+    if not isinstance(doc["compact"], bool):
+        raise DocumentError(f"compact must be true or false, got {doc['compact']!r}")
+    m1, m2, n, r, ra, rb = (doc[key] for key in dims)
+    compact = doc["compact"]
+    shapes = ((m1, ra if compact else m1), (m2, rb if compact else m2),
+              (r,), (r,), (r, n), (r,))
     return gsvd.GsvdFactors(
-        u=np.array(doc["u"], dtype=float),
-        v=np.array(doc["v"], dtype=float),
-        c=np.array(doc["c"], dtype=float),
-        s=np.array(doc["s"], dtype=float),
-        h=np.array(doc["h"], dtype=float),
-        r=int(doc["r"]), r_a=int(doc["ra"]), r_b=int(doc["rb"]),
-        m1=int(doc["m1"]), m2=int(doc["m2"]), n=int(doc["n"]),
-        v_col_of=np.array(doc["v_col_of"], dtype=int),
-        compact=bool(doc["compact"]),
+        **{key: _document_array(doc[key], key, shape)
+           for key, shape in zip(arrays, shapes)},
+        r=r, r_a=ra, r_b=rb, m1=m1, m2=m2, n=n, compact=compact,
     )
+
+
+def _document_array(value, key: str, shape: tuple) -> np.ndarray:
+    # A document entry as an array of the given shape; H of a rank-0 pair
+    # has no rows, and JSON writes it as [].  NumPy would truncate a
+    # fractional column index, so v_col_of must hold integers already.
+    if key == "v_col_of" and not (isinstance(value, list)
+                                  and all(type(j) is int for j in value)):
+        raise DocumentError("v_col_of must be a list of integers")
+    try:
+        x = np.array(value, dtype=int if key == "v_col_of" else float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"{key}: {exc}") from exc
+    if x.size == 0 == math.prod(shape):
+        return x.reshape(shape)
+    if x.shape != shape:
+        raise DimensionMismatch(
+            f"{key} has shape {x.shape}, expected {shape} from the document's "
+            "dimensions and ranks"
+        )
+    return x
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -205,6 +236,7 @@ def cmd_verify(args) -> int:
     with open(args.json, encoding="utf-8") as fh:
         doc = json.load(fh)
     f = factors_from_document(doc)
+    a, b = gsvd._check_pair(f, a, b)
     failed = False
     for label, dev in _factor_deviations(f, np.vstack([a, b])):
         print(f"{label}: {dev:.3g}")
@@ -221,10 +253,12 @@ def _factor_deviations(f: gsvd.GsvdFactors, stacked: np.ndarray):
     # then the factors themselves, since a product can be right with U
     # scaled by t and C by 1/t.  Compact U and V have orthonormal columns.
     # v_col_of must hold -1 exactly where s_i = 0 and otherwise a column of
-    # V that no other v_i holds; the product is formed only when it does.
+    # V that no other v_i holds, and c_i > 0 only where U has a column i;
+    # the product is formed only when both hold.
     placed = f.v_col_of[f.s > 0]
     misplaced = (np.count_nonzero(f.v_col_of[f.s <= 0] != -1) + placed.size
-                 - np.unique(placed[(placed >= 0) & (placed < f.v.shape[1])]).size)
+                 - np.unique(placed[(placed >= 0) & (placed < f.v.shape[1])]).size
+                 + np.count_nonzero(f.c[f.u.shape[1]:] > 0))
     rel = np.inf
     if misplaced == 0:
         rel = np.linalg.norm(f.reconstruct() - stacked) / max(np.linalg.norm(stacked), 1e-300)
@@ -236,7 +270,7 @@ def _factor_deviations(f: gsvd.GsvdFactors, stacked: np.ndarray):
     # wrong way or distance outside the interval
     yield "c, s order and range", np.max(np.concatenate([
         np.diff(f.c), -np.diff(f.s), -f.c, f.c - 1.0, -f.s, f.s - 1.0]), initial=0.0)
-    yield "v_col_of misplaced entries", float(misplaced)
+    yield "misplaced c and v_col_of entries", float(misplaced)
 
 
 def cmd_tikhonov(args) -> int:

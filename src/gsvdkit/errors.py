@@ -18,6 +18,12 @@ class DomainError(GsvdKitError, ValueError):
     exit_code = 2
 
 
+class DocumentError(GsvdKitError, ValueError):
+    """A factors document that is not an object holding every key, well typed."""
+
+    exit_code = 2
+
+
 class UnsupportedBeta(GsvdKitError, ValueError):
     exit_code = 2
 

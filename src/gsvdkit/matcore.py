@@ -78,7 +78,7 @@ class Tolerance:
 
 def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
     # Count of descending singular values sv above the cutoff; 0 when all vanish.
-    if sv.size == 0 or sv[0] <= 0.0:
+    if sv.size == 0:
         return 0
     return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
 

@@ -17,7 +17,7 @@ from .errors import (
     InvalidPartition,
     ZeroWithin,
 )
-from .gsvd import GsvdFactors, _h_pinv, _leading_terms
+from .gsvd import GsvdFactors, _leading_terms
 from .matcore import EPS, Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -140,10 +140,14 @@ def anova_f(design: ClusterDesign, v) -> AnovaReport:
     )
 
 
+# apportion's default band edges: three equal bands of [0, pi/2]
+THETA_LO, THETA_HI = np.pi / 8, 3 * np.pi / 8
+
+
 def apportion(
     f: GsvdFactors,
-    theta_lo: float = np.pi / 8,
-    theta_hi: float = 3 * np.pi / 8,
+    theta_lo: float = THETA_LO,
+    theta_hi: float = THETA_HI,
 ) -> Apportionment:
     """Classify each row of H by its angle theta_i = atan2(s_i, c_i).
 
@@ -155,10 +159,6 @@ def apportion(
     if not 0 <= theta_lo <= theta_hi <= np.pi / 2:
         raise ValueError("need 0 <= theta_lo <= theta_hi <= pi/2")
     angles = f.theta()
-    labels = tuple(
-        "A-dominant" if t < theta_lo else ("B-dominant" if t > theta_hi else "mixed")
-        for t in angles
-    )
     if f.r:
         sv = matcore._svdvals(f.h)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -168,9 +168,17 @@ def apportion(
         cond = 1.0
         unit = f.h.copy()
     return Apportionment(
-        angles=angles, labels=labels,
+        angles=angles, labels=_band_labels(angles, theta_lo, theta_hi),
         h_rows=f.h.copy(), h_rows_unit=unit,
         h_condition=cond,
+    )
+
+
+def _band_labels(angles, theta_lo: float = THETA_LO, theta_hi: float = THETA_HI) -> tuple:
+    # apportion's row labels, read from the angles alone
+    return tuple(
+        "A-dominant" if t < theta_lo else ("B-dominant" if t > theta_hi else "mixed")
+        for t in angles
     )
 
 
@@ -187,9 +195,11 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
     Takes gsvd(U2' M, W) and multiplies M on the right by
     G = H^+ I_{r, k-1}, whose k - 1 columns span the only directions with
     nonzero generalized singular values; those values are unchanged by the
-    reduction.  H^+ is taken at the rank r of those factors.  The projection W = M - Y1 Y1' M has the Gram of U3' M, so
-    the factors are those of gsvd(U2' M, U3' M) at that pair's rank cutoff.
-    Returns (G, M G).
+    reduction.  H^+ is taken at the rank r of those factors.
+
+    The projection W = M - Y1 Y1' M has the Gram of U3' M, so the factors
+    are those of gsvd(U2' M, U3' M) at that pair's rank cutoff.  Returns
+    (G, M G).
     """
     m = as_matrix(m)
     if m.shape[0] != design.p:
@@ -203,8 +213,8 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
     # orthonormal columns, so ||H||_2 is the norm of the stacked parts, and
     # [u1' M; H] has the Gram of u_split' M, so its norm is ||M||_2.
     norm_m = matcore._svdvals(np.vstack([design.u1.T @ m, f.h]))[0]
-    if f.r == 0 or matcore._svdvals(f.h)[0] <= tol.cutoff(m.shape, norm_m):
+    if f.r == 0 or (h_svd := matcore._svd(f.h))[1][0] <= tol.cutoff(m.shape, norm_m):
         raise DegenerateData("between and within parts are both zero")
     cols = min(design.k - 1, f.r)
-    g = _h_pinv(f)[:, :cols]
+    g = matcore._svd_pinv(*h_svd, f.r)[:, :cols]
     return g, m @ g

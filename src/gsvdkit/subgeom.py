@@ -102,9 +102,9 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
             f"GSVD and svd(Q1'Y) principal cosines differ by {gap:.2e} > 1e-9"
         )
 
-    hyp = f.stacked_unit_basis()  # rows: d2 in Y coordinates, then ambient
-    a1_vecs = y @ hyp[:d2, :k] + hyp[d2:, :k]
-    a2_vecs = y @ f.u_dirs()[:, :k]
+    udirs = f.u_dirs()[:, :k]  # in Y coordinates; hypotenuses [u_i c_i; v_i s_i]
+    a1_vecs = y @ (udirs * cosines) + f.v_dirs()[:, :k] * f.s[:k]
+    a2_vecs = y @ udirs
     return PrincipalAngles(
         cosines=cosines,
         angles=np.arccos(np.clip(cosines, -1.0, 1.0)),
@@ -145,7 +145,7 @@ def ellipse_data(f: GsvdFactors) -> EllipseData:
     """Semi-axes, unit-sphere hypotenuses, and angles for the ellipse picture."""
     cdirs = f.u_dirs()
     sdirs = f.v_dirs()
-    sphere = f.stacked_unit_basis()
+    sphere = np.vstack([cdirs * f.c, sdirs * f.s])
     if f.r:
         norms = np.linalg.norm(sphere, axis=0)
         dev = float(np.max(np.abs(norms - 1.0)))

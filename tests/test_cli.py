@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsvdkit import cli, gsvd, jacobi, subgeom, tikhonov
+from gsvdkit import cli, gsvd, jacobi, stats, subgeom, tikhonov
 from gsvdkit.matcore import Tolerance
 
 from conftest import random_pair
@@ -101,6 +101,29 @@ class TestGsvdCommand:
                  "x_norm": float(np.linalg.norm(x))}
                 for lam, x, damp in tikhonov.solve_path(problem, [0.0, 0.5, 2.0])]
         assert json.load(open(out)) == {"solutions": want}
+
+    def test_document_takes_no_svd(self, monkeypatch):
+        # the labels come from the angles alone; H is not factored again
+        rng = np.random.default_rng(5)
+        pairs = [(np.diag([3.0, 4.0]), np.array([[1.0, 1.0]])),
+                 (rng.standard_normal((6, 4)), rng.standard_normal((5, 4))),
+                 random_pair(rng, 5, 4, 6, rank_a=3, rank_b=2, common_null=2),
+                 (np.zeros((2, 3)), np.zeros((1, 3)))]
+        factors = [gsvd.gsvd_decompose(a, b, compact=compact)
+                   for a, b in pairs for compact in (False, True)]
+        labels = [list(stats.apportion(f).labels) for f in factors]
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for f, want in zip(factors, labels):
+            doc = cli.factors_to_document(f, Tolerance(), "bottom")
+            assert doc["apportionment"]["labels"] == want
+        assert calls == []
 
     def test_top_convention(self, worked_example, tmp_path):
         a, b = worked_example
@@ -284,6 +307,75 @@ class TestVerifyCommand:
         with open(out, "w") as fh:
             json.dump(doc, fh)
         assert cli.main(["verify", a, b, out]) == 3
+
+    @pytest.mark.parametrize("change", ["u one column", "h one column", "h extra column",
+                                        "inputs of another pair"])
+    def test_shape_disagreeing_with_the_document_exits_3(self, worked_example, tmp_path,
+                                                          change, capsys):
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        cli.main(["gsvd", a, b, "--json", out])
+        doc = json.load(open(out))
+        if change == "u one column":
+            doc["u"] = [row[:1] for row in doc["u"]]
+        elif change == "h one column":
+            doc["h"] = [row[:1] for row in doc["h"]]
+        elif change == "h extra column":
+            doc["h"] = [row + [0.0] for row in doc["h"]]
+        else:
+            a = write_csv(tmp_path / "a3.csv", [[3, 0, 1], [0, 4, 1]])
+            b = write_csv(tmp_path / "b3.csv", [[1, 1, 1]])
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 3
+        assert capsys.readouterr().err.startswith("gsvdkit verify: ")
+
+    @pytest.mark.parametrize("change", ["missing u", "not an object", "r not an integer",
+                                        "fractional v_col_of"])
+    def test_malformed_document_exits_2(self, worked_example, tmp_path, change, capsys):
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        cli.main(["gsvd", a, b, "--json", out])
+        doc = json.load(open(out))
+        if change == "missing u":
+            del doc["u"]
+        elif change == "not an object":
+            doc = [1, 2]
+        elif change == "r not an integer":
+            doc["r"] = [2]
+        else:
+            # 0.5 would truncate to the valid index 0
+            doc["v_col_of"] = [-1, 0.5]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 2
+        assert capsys.readouterr().err.startswith("gsvdkit verify: ")
+
+    def test_cosine_without_a_u_column_exits_5(self, tmp_path):
+        # r = 3 > m1 = 2 leaves c_3 = 0 with no column of U; a positive c_3
+        # has no u_3 to pair with
+        a = write_csv(tmp_path / "a.csv", [[1, 0, 0], [0, 1, 0]])
+        b = write_csv(tmp_path / "b.csv", [[0, 0, 1], [1, 1, 1]])
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = json.load(open(out))
+        assert len(doc["u"][0]) == 2 and doc["c"][2] == 0.0
+        doc["c"][2] = 0.5
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        assert cli.main(["verify", a, b, out]) == 5
+
+    @pytest.mark.parametrize("flags", [[], ["--compact"]])
+    def test_zero_pair_document_passes(self, tmp_path, flags):
+        # r = 0: H has no rows and its JSON is []
+        a = write_csv(tmp_path / "a.csv", [[0, 0], [0, 0]])
+        b = write_csv(tmp_path / "b.csv", [[0, 0]])
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, *flags, "--json", out]) == 0
+        assert json.load(open(out))["h"] == []
+        assert cli.main(["verify", a, b, out]) == 0
 
     def test_valid_documents_pass_every_check(self, tmp_path, capsys):
         rng = np.random.default_rng(11)

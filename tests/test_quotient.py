@@ -57,9 +57,21 @@ class TestTrigTable:
         tol = Tolerance(rel=1e-10)
         f = gsvd.gsvd_decompose(a, b, tol)
         assert (f.r, f.r_a, f.r_b) == (4, 2, 2)
-        table = quotient.trig_table(f, a, b, tol)
+        table = quotient.trig_table(f, a, b)
         assert table.row("cos").max_dev <= 1e-4
         assert table.row("sin").max_dev <= 1e-4
+
+    def test_cot_reads_b_plus_at_the_factors_r_b(self):
+        # B's own-scale rank is 3, but its third direction is roundoff
+        # beside A, so r = r_a = r_b = 2; B^+ cut at 3 puts a spurious 5
+        # among the cotangents
+        a = np.diag([1.0, 1.0, 5e-16])
+        b = np.diag([1e-3, 1e-3, 1e-16])
+        f = gsvd.gsvd_decompose(a, b)
+        assert (f.r, f.r_a, f.r_b) == (2, 2, 2)
+        cot_row = quotient.trig_table(f, a, b).row("cot")
+        assert cot_row.applicable
+        assert cot_row.max_dev <= 1e-10
 
     def test_cot_matches_when_b_full_rank(self, rng):
         for _ in range(10):
