@@ -278,8 +278,8 @@ def cmd_tikhonov(args) -> int:
     l = read_matrix(args.l, args.header)
     b = read_vector(args.b, args.header)
     lambdas = _parse_list(args.lambdas, "--lambdas", float)
-    if any(x < 0 for x in lambdas):
-        raise DomainError("--lambdas entries must be nonnegative")
+    if not all(0 <= x < math.inf for x in lambdas):
+        raise DomainError("--lambdas entries must be finite and nonnegative")
     problem = tikhonov.TikhonovProblem(a, l, b)
     path = tikhonov.solve_path(problem, lambdas)
     print(f"{'lambda':>12} {'||x||':>18}")

@@ -224,21 +224,11 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # stacked pair: a block that is pure roundoff relative to the other is
     # rank zero here even though it is "full rank" at its own scale.
     sv_st = matcore._svdvals(stacked)
-    smax = float(sv_st[0]) if sv_st.size else 0.0
-    cut = tol.cutoff(stacked.shape, smax)
+    cut = tol.cutoff(stacked.shape, sv_st[0])
     r = int(np.count_nonzero(sv_st > cut))
     sv_a = matcore._svdvals(a)
     r_a = int(np.count_nonzero(sv_a > cut))
     r_b = int(np.count_nonzero(matcore._svdvals(b) > cut))
-
-    if r == 0:
-        return GsvdFactors(
-            u=np.zeros((m1, 0)) if compact else np.eye(m1),
-            v=np.zeros((m2, 0)) if compact else np.eye(m2),
-            c=np.zeros(0), s=np.zeros(0), h=np.zeros((0, n)),
-            r=0, r_a=0, r_b=0, m1=m1, m2=m2, n=n,
-            v_col_of=np.zeros(0, dtype=int), compact=compact,
-        ), sv_a
 
     q, rmat, perm = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
     qa, qb = q[:m1, :r], q[m1:, :r]
@@ -273,15 +263,12 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     skip = 0 if compact else m2 - r_b
     v_col_of = np.full(r, -1, dtype=int)
     v_col_of[nz] = skip + np.arange(r_b)
-    if r_b == 0:
-        v = np.zeros((m2, 0)) if compact else np.eye(m2)
-    else:
-        denom = np.where(s[nz] > 0, s[nz], 1.0)
-        rhs = np.zeros((m2, skip + r_b), order="F")
-        np.fill_diagonal(rhs[r_b:, :skip], 1.0)
-        np.fill_diagonal(rhs[:, skip:], 1.0)
-        v, diag_r = matcore._qr_apply(qbw[:, nz] / denom, rhs)
-        v[:, skip:] *= np.where(diag_r < 0, -1.0, 1.0)
+    denom = np.where(s[nz] > 0, s[nz], 1.0)
+    rhs = np.zeros((m2, skip + r_b), order="F")
+    np.fill_diagonal(rhs[r_b:, :skip], 1.0)
+    np.fill_diagonal(rhs[:, skip:], 1.0)
+    v, diag_r = matcore._qr_apply(qbw[:, nz] / denom, rhs)
+    v[:, skip:] *= np.where(diag_r < 0, -1.0, 1.0)
 
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
@@ -360,8 +347,6 @@ def _v_split(f: GsvdFactors):
 def _h_pinv(f: GsvdFactors) -> np.ndarray:
     # H^+ kept to r terms: H has full row rank r by construction, so no
     # second rank decision is made on it.
-    if f.r == 0:
-        return np.zeros((f.n, 0))
     return matcore._svd_pinv(*matcore._svd(f.h), f.r)
 
 
@@ -390,8 +375,6 @@ def rq_drilldown(f: GsvdFactors):
     nullspace of A and B.  Signs are normalized (R diagonal nonnegative,
     leading entries of the nullspace columns nonnegative) for determinism.
     """
-    if f.r == 0:
-        return np.zeros((0, 0)), np.eye(f.n)
     rfac, qfac = scipy.linalg.rq(f.h, mode="full")
     k = f.n - f.r
     t = rfac[:, k:]
@@ -435,10 +418,20 @@ def _leading_terms(f: GsvdFactors, k: int):
 def parameter_count(m1: int, m2: int, n: int, r: int) -> dict:
     """Degree-of-freedom table for the factored form of an m x n rank-r pair.
 
-    Splits the m*n parameters of [A; B] (m = m1 + m2) into the rank
-    codimension, H, the nondegenerate angles, the two Stiefel blocks for
-    the ellipse axes, and a Grassmann block; the total is always m*n.
-    Entries depend on the ordering of r relative to m1 and m2.
+    Splits the m*n parameters of [A; B] (m = m1 + m2) into blocks; with
+    k = min(r, m1, m2, m - r) nondegenerate angles, hi = max(m1, m2) and
+    t = min(r, hi) they are
+
+        rank_codim  (m - r)(n - r)            rank-r matrices in m x n
+        h           r n                       the coordinates H
+        angles      k                         the angles strictly in (0, pi/2)
+        u_stiefel   (m1 - k) k + k (k - 1)/2  the k cosine axes u_i
+        v_stiefel   (m2 - k) k + k (k - 1)/2  the k sine axes v_i
+        grassmann   (t - k)(hi - t)           the longer block's t - k column
+                                              directions beyond the u_i or v_i
+
+    and the total is always m*n.  A and B generically have ranks min(m1, r)
+    and min(m2, r).  `regime` names where r falls relative to m1 and m2.
     """
     for name, val in (("m1", m1), ("m2", m2), ("n", n), ("r", r)):
         if not isinstance(val, (int, np.integer)) or (val < 1 and name != "r"):
@@ -447,42 +440,26 @@ def parameter_count(m1: int, m2: int, n: int, r: int) -> dict:
         raise InvalidDimensions(
             f"need 0 < r <= min(m1 + m2, n) = {min(m1 + m2, n)}, got r = {r}"
         )
-    swapped = m1 > m2
-    lo, hi = (m2, m1) if swapped else (m1, m2)
     m = m1 + m2
-    if r <= lo:
+    k = min(r, m1, m2, m - r)
+    hi = max(m1, m2)
+    t = min(r, hi)
+    if r <= min(m1, m2):
         regime = "r <= min(m1, m2)"
-        angles = r
-        lo_stiefel = (lo - r) * r + r * (r - 1) // 2
-        hi_stiefel = (hi - r) * r + r * (r - 1) // 2
-        grassmann = 0
-        ra_gen, rb_gen = r, r
     elif r <= hi:
         regime = "min(m1, m2) <= r <= max(m1, m2)"
-        angles = lo
-        lo_stiefel = lo * (lo - 1) // 2
-        hi_stiefel = (hi - lo) * lo + lo * (lo - 1) // 2
-        grassmann = (r - lo) * (hi - r)
-        ra_gen, rb_gen = lo, r
     else:
         regime = "max(m1, m2) <= r"
-        angles = m - r
-        lo_stiefel = (r - hi) * (m - r) + (m - r) * (m - r - 1) // 2
-        hi_stiefel = (r - lo) * (m - r) + (m - r) * (m - r - 1) // 2
-        grassmann = 0
-        ra_gen, rb_gen = lo, hi
-    u_stiefel, v_stiefel = (hi_stiefel, lo_stiefel) if swapped else (lo_stiefel, hi_stiefel)
-    r_a, r_b = (rb_gen, ra_gen) if swapped else (ra_gen, rb_gen)
     counts = {
         "regime": regime,
         "rank_codim": (m - r) * (n - r),
         "h": r * n,
-        "angles": angles,
-        "u_stiefel": u_stiefel,
-        "v_stiefel": v_stiefel,
-        "grassmann": grassmann,
-        "r_a_generic": r_a,
-        "r_b_generic": r_b,
+        "angles": k,
+        "u_stiefel": (m1 - k) * k + k * (k - 1) // 2,
+        "v_stiefel": (m2 - k) * k + k * (k - 1) // 2,
+        "grassmann": (t - k) * (hi - t),
+        "r_a_generic": min(m1, r),
+        "r_b_generic": min(m2, r),
     }
     counts["total"] = (
         counts["rank_codim"] + counts["h"] + counts["angles"]

@@ -33,10 +33,6 @@ __all__ = [
     "empirical_check",
 ]
 
-#: Bit generator used for all sampling; counter based, so substreams are
-#: cheap and streams are reproducible bit for bit for a fixed numpy.
-RNG_ALGORITHM = "philox4x64 + ziggurat normals"
-
 #: Normals per empirical_check batch: bounds memory, never changes the draws.
 _BATCH_NORMALS = 1 << 20
 
@@ -55,8 +51,8 @@ class JacobiParams:
             raise ValueError("n must be positive")
         if self.m1 < self.n or self.m2 < self.n:
             raise ValueError("need m1 >= n and m2 >= n")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
         if self.a1 - self.p <= -1 or self.a2 - self.p <= -1:
             raise ValueError("density is not integrable for these parameters")
 
@@ -75,15 +71,17 @@ class JacobiParams:
 
 @dataclass(frozen=True)
 class SeededRng:
-    """Reproducible stream factory: same seed, same samples."""
+    """Reproducible stream factory: same seed, same samples.
+
+    The bit generator is Philox 4x64, counter based, and normals come from
+    NumPy's ziggurat sampler, so a stream is reproducible bit for bit for a
+    fixed NumPy.
+    """
 
     seed: int
 
-    def generator(self, stream: int = 0) -> np.random.Generator:
-        bg = np.random.Philox(key=self.seed)
-        if stream:
-            bg = bg.jumped(stream)
-        return np.random.Generator(bg)
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.seed))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .errors import DomainError
+
 __all__ = [
     "EPS",
     "Tolerance",
@@ -66,10 +68,11 @@ class Tolerance:
     abs: float = 0.0
 
     def __post_init__(self):
-        if self.rel is not None and self.rel < 0:
-            raise ValueError("rel must be nonnegative")
-        if self.abs < 0:
-            raise ValueError("abs must be nonnegative")
+        # `not x >= 0` rejects NaN too, which would give a NaN cutoff and rank 0
+        if self.rel is not None and not self.rel >= 0:
+            raise DomainError(f"rel must be a nonnegative number, got {self.rel}")
+        if not self.abs >= 0:
+            raise DomainError(f"abs must be a nonnegative number, got {self.abs}")
 
     def cutoff(self, shape, sigma_max: float) -> float:
         rel = max(shape) * EPS if self.rel is None else self.rel
@@ -78,8 +81,6 @@ class Tolerance:
 
 def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
     # Count of descending singular values sv above the cutoff; 0 when all vanish.
-    if sv.size == 0:
-        return 0
     return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
 
 
@@ -104,17 +105,23 @@ def numerical_rank(m, tol: Tolerance = Tolerance()) -> int:
 def _leading_signs(x: np.ndarray) -> np.ndarray:
     # Column signs (+1 or -1) making each column's leading significant entry
     # (first with magnitude above 1e-12) nonnegative.  A column with no such
-    # entry reads row 0, which is then insignificant and keeps sign +1.
+    # entry reads row 0, which is then insignificant and keeps sign +1.  A
+    # matrix with no rows has no entry to read, and every column keeps +1.
+    if x.shape[0] == 0:
+        return np.ones(x.shape[1])
     lead = x[np.argmax(np.abs(x) > 1e-12, axis=0), np.arange(x.shape[1])]
     return np.where(lead < -1e-12, -1.0, 1.0)
 
 
 def _qr_apply(x: np.ndarray, c: np.ndarray):
     # (Q @ c, diag(R)) for the Householder QR x = Q R of a tall x (rows >=
-    # cols >= 1).  The reflectors are kept in compact-WY form (dgeqrt) and
+    # cols).  The reflectors are kept in compact-WY form (dgeqrt) and
     # applied in blocks (dgemqrt), so Q is never formed and the work is
     # matrix-matrix even when x has few columns.  A Fortran-ordered float64
-    # c is overwritten in place.
+    # c is overwritten in place.  An x with no columns has Q = I, so c comes
+    # back unchanged: empty blocks and rank 0 need no route of their own.
+    if x.shape[1] == 0:
+        return c, np.zeros(0)
     refl, t, info = lapack.dgeqrt(min(x.shape[1], _QR_BLOCK), x)
     if info == 0:
         c, info = lapack.dgemqrt(refl, t, c, overwrite_c=1)
@@ -124,7 +131,7 @@ def _qr_apply(x: np.ndarray, c: np.ndarray):
 
 
 def _completed(q: np.ndarray) -> np.ndarray:
-    # [q | complete_basis(q)] for q with 1 <= k <= m orthonormal columns,
+    # [q | complete_basis(q)] for q with 0 <= k <= m orthonormal columns,
     # square, with the completion written in place into one buffer.
     m, k = q.shape
     out = np.zeros((m, m), order="F")
@@ -216,8 +223,6 @@ def complete_basis(q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     m, k = q.shape
-    if k == 0:
-        return np.eye(m)
     if k >= m:
         return np.zeros((m, 0))
     out = np.zeros((m, m - k), order="F")

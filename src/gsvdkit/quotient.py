@@ -188,8 +188,6 @@ def quotient_check(a, b, tol: Tolerance = Tolerance()):
 
 
 def _nonzero(sv: np.ndarray, shape, tol: Tolerance, floor: float = 0.0) -> np.ndarray:
-    if sv.size == 0:
-        return np.zeros(0)
     return sv[sv > max(tol.cutoff(shape, sv[0]), floor)]
 
 

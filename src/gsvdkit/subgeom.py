@@ -146,13 +146,11 @@ def ellipse_data(f: GsvdFactors) -> EllipseData:
     cdirs = f.u_dirs()
     sdirs = f.v_dirs()
     sphere = np.vstack([cdirs * f.c, sdirs * f.s])
-    if f.r:
-        norms = np.linalg.norm(sphere, axis=0)
-        dev = float(np.max(np.abs(norms - 1.0)))
-        if dev > 1e-12:
-            raise NumericalCheckFailed(
-                f"sphere points deviate from unit length by {dev:.2e} > 1e-12"
-            )
+    dev = float(np.max(np.abs(np.linalg.norm(sphere, axis=0) - 1.0), initial=0.0))
+    if dev > 1e-12:
+        raise NumericalCheckFailed(
+            f"sphere points deviate from unit length by {dev:.2e} > 1e-12"
+        )
     return EllipseData(
         cosine_lengths=f.c.copy(),
         cosine_directions=cdirs,

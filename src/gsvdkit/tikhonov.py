@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import gsvd
-from .errors import DimensionMismatch, SingularH
+from .errors import DimensionMismatch, DomainError, SingularH
 from .matcore import Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -101,10 +101,16 @@ def base_factors(p: TikhonovProblem) -> gsvd.GsvdFactors:
     return p._factors
 
 
+def _check_lambda(lam) -> None:
+    # DomainError unless 0 <= lam < inf; NaN fails the test too.  An
+    # infinite lambda would put inf * 0 = NaN where s_i = 0.
+    if not 0 <= lam < np.inf:
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
+
+
 def lambda_factors(p: TikhonovProblem, lam: float) -> LambdaFactors:
     """Closed-form factors of [A; lam L] scaled from the lambda = 1 anchor."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_lambda(lam)
     f = base_factors(p)
     denom = np.hypot(f.c, lam * f.s)
     c_lam = f.c / denom
@@ -128,8 +134,7 @@ def solve_path(p: TikhonovProblem, lambdas):
     y0 = f.u.T @ p.b
     out = []
     for lam in lambdas:
-        if lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {lam}")
+        _check_lambda(lam)
         damp = f.c**2 / (f.c**2 + lam**2 * f.s**2)
         x = scipy.linalg.lu_solve(lu, damp * y0)
         out.append((float(lam), x, damp))
@@ -138,8 +143,7 @@ def solve_path(p: TikhonovProblem, lambdas):
 
 def direct_solve(p: TikhonovProblem, lam: float) -> np.ndarray:
     """Stacked least-squares reference: argmin ||[A; lam L] x - [b; 0]||."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_lambda(lam)
     stacked = np.vstack([p.a, lam * p.l])
     rhs = np.concatenate([p.b, np.zeros(p.l.shape[0])])
     return np.linalg.lstsq(stacked, rhs, rcond=None)[0]

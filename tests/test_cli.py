@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ def write_csv(path, rows):
     return str(path)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture
 def worked_example(tmp_path):
     a = write_csv(tmp_path / "a.csv", [[3, 0], [0, 4]])
@@ -30,7 +36,7 @@ class TestGsvdCommand:
         assert cli.main(["gsvd", a, b, "--json", out]) == 0
         printed = capsys.readouterr().out
         assert "inf" in printed
-        doc = json.load(open(out))
+        doc = read_json(out)
         values = doc["generalized_values"]
         assert values[0] == "inf"
         assert abs(values[1] - 2.4) <= 1e-12
@@ -41,7 +47,7 @@ class TestGsvdCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         assert cli.main(["gsvd", a, b, "--compact", "--json", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         u = np.array(doc["u"])
         assert u.shape == (2, doc["ra"])
         # the document is that of the compacted full-format factors, for
@@ -55,7 +61,7 @@ class TestGsvdCommand:
             for convention in ("bottom", "top"):
                 assert cli.main(["gsvd", pa, pb, "--compact", "--convention", convention,
                                  "--json", out]) == 0
-                doc = json.load(open(out))
+                doc = read_json(out)
                 f = gsvd.compact(gsvd.gsvd_decompose(cli.read_matrix(pa), cli.read_matrix(pb)))
                 want = json.loads(json.dumps(cli.factors_to_document(f, Tolerance(), convention)))
                 for key in ("u", "v"):
@@ -78,11 +84,11 @@ class TestGsvdCommand:
                     if convention == "top":
                         f = gsvd.with_top_convention(f)
                     want = cli.factors_to_document(f, Tolerance(), convention)
-                    assert json.load(open(out)) == json.loads(json.dumps(want))
+                    assert read_json(out) == json.loads(json.dumps(want))
             out = str(tmp_path / f"ellipse{i}.json")
             assert cli.main(["ellipse", pa, pb, "--json", out]) == 0
             data = subgeom.ellipse_data(gsvd.gsvd_decompose(ma, mb))
-            doc = json.load(open(out))
+            doc = read_json(out)
             for key in ("cosine_lengths", "cosine_directions", "sine_lengths",
                         "sine_directions", "sphere_points", "angles"):
                 assert doc[key] == getattr(data, key).tolist()
@@ -100,7 +106,7 @@ class TestGsvdCommand:
         want = [{"lambda": lam, "x": x.tolist(), "damping": damp.tolist(),
                  "x_norm": float(np.linalg.norm(x))}
                 for lam, x, damp in tikhonov.solve_path(problem, [0.0, 0.5, 2.0])]
-        assert json.load(open(out)) == {"solutions": want}
+        assert read_json(out) == {"solutions": want}
 
     def test_document_takes_no_svd(self, monkeypatch):
         # the labels come from the angles alone; H is not factored again
@@ -129,7 +135,7 @@ class TestGsvdCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         assert cli.main(["gsvd", a, b, "--convention", "top", "--json", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         cols = [j for j in doc["v_col_of"] if j >= 0]
         assert cols == list(range(len(cols)))
 
@@ -218,7 +224,7 @@ class TestGsvdCommand:
         out2 = str(tmp_path / "f2.json")
         cli.main(["gsvd", a, b, "--json", out1])
         cli.main(["gsvd", a, b, "--json", out2])
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
 
 class TestVerifyCommand:
@@ -249,7 +255,7 @@ class TestVerifyCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         cli.main(["gsvd", a, b, "--json", out])
-        doc = json.load(open(out))
+        doc = read_json(out)
         doc["h"][0][0] += 0.5
         with open(out, "w") as fh:
             json.dump(doc, fh)
@@ -261,7 +267,7 @@ class TestVerifyCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         cli.main(["gsvd", a, b, "--json", out])
-        doc = json.load(open(out))
+        doc = read_json(out)
         doc["u"] = (2.0 * np.array(doc["u"])).tolist()
         doc["c"] = [x / 2.0 for x in doc["c"]]
         with open(out, "w") as fh:
@@ -283,7 +289,7 @@ class TestVerifyCommand:
         b = write_csv(tmp_path / "b.csv", [[1, 1], [0, 0]])
         out = str(tmp_path / "factors.json")
         assert cli.main(["gsvd", a, b, "--json", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         assert doc["v_col_of"] == [-1, 1]
         if change == "shared column":
             doc["v_col_of"] = [1, 1]
@@ -302,7 +308,7 @@ class TestVerifyCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         cli.main(["gsvd", a, b, "--json", out])
-        doc = json.load(open(out))
+        doc = read_json(out)
         doc[key] = doc[key][:1]
         with open(out, "w") as fh:
             json.dump(doc, fh)
@@ -315,7 +321,7 @@ class TestVerifyCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         cli.main(["gsvd", a, b, "--json", out])
-        doc = json.load(open(out))
+        doc = read_json(out)
         if change == "u one column":
             doc["u"] = [row[:1] for row in doc["u"]]
         elif change == "h one column":
@@ -337,7 +343,7 @@ class TestVerifyCommand:
         a, b = worked_example
         out = str(tmp_path / "factors.json")
         cli.main(["gsvd", a, b, "--json", out])
-        doc = json.load(open(out))
+        doc = read_json(out)
         if change == "missing u":
             del doc["u"]
         elif change == "not an object":
@@ -360,7 +366,7 @@ class TestVerifyCommand:
         b = write_csv(tmp_path / "b.csv", [[0, 0, 1], [1, 1, 1]])
         out = str(tmp_path / "factors.json")
         assert cli.main(["gsvd", a, b, "--json", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         assert len(doc["u"][0]) == 2 and doc["c"][2] == 0.0
         doc["c"][2] = 0.5
         with open(out, "w") as fh:
@@ -374,7 +380,7 @@ class TestVerifyCommand:
         b = write_csv(tmp_path / "b.csv", [[0, 0]])
         out = str(tmp_path / "factors.json")
         assert cli.main(["gsvd", a, b, *flags, "--json", out]) == 0
-        assert json.load(open(out))["h"] == []
+        assert read_json(out)["h"] == []
         assert cli.main(["verify", a, b, out]) == 0
 
     def test_valid_documents_pass_every_check(self, tmp_path, capsys):
@@ -412,7 +418,7 @@ class TestTikhonovCommand:
                          str(tmp_path / "b.csv"), "--lambdas", "0,1,10",
                          "--json", out])
         assert code == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         norms = [row["x_norm"] for row in doc["solutions"]]
         assert norms[0] >= norms[1] >= norms[2]
 
@@ -452,7 +458,7 @@ class TestEllipseCommand:
         a, b = worked_example
         out = str(tmp_path / "ellipse.json")
         assert cli.main(["ellipse", a, b, "--json", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         assert doc["cosine_lengths"][0] == 1.0
         sphere = np.array(doc["sphere_points"])
         np.testing.assert_allclose(np.linalg.norm(sphere, axis=0), 1.0,
@@ -464,7 +470,7 @@ class TestEllipseCommand:
         b = write_csv(tmp_path / "i2.csv", np.eye(2).tolist())
         out = str(tmp_path / "ellipse.json")
         assert cli.main(["ellipse", a, b, "--json", out]) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         np.testing.assert_allclose(doc["cosine_lengths"],
                                    np.full(2, 1 / np.sqrt(2)), atol=1e-12)
         np.testing.assert_allclose(doc["sine_lengths"],
@@ -511,7 +517,7 @@ class TestJacobiCommand:
         out2 = str(tmp_path / "s2.csv")
         assert cli.main(args + ["--out", out1]) == 0
         assert cli.main(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_out_file_is_the_sampled_stream(self, tmp_path):
         # the written draws are the ones the statistics were computed from:
@@ -525,9 +531,94 @@ class TestJacobiCommand:
         replay = str(tmp_path / "replay.csv")
         cli.write_matrix(replay, np.array(
             [jacobi.sample_manova(params, gen) for _ in range(1000)]))
-        assert open(out, "rb").read() == open(replay, "rb").read()
+        assert Path(out).read_bytes() == Path(replay).read_bytes()
 
     def test_reports_ks_for_scalar(self, capsys):
         assert cli.main(["jacobi", "--m1", "3", "--m2", "5", "--n", "1",
                          "--samples", "2000", "--seed", "1"]) == 0
         assert "KS distance" in capsys.readouterr().out
+
+
+class TestInputEdges:
+    def test_blank_lines_are_skipped(self, worked_example, tmp_path, capsys):
+        a, b = worked_example
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("3,0\n\n0,4\n")
+        np.testing.assert_array_equal(cli.read_matrix(str(gapped)), cli.read_matrix(a))
+        assert cli.main(["gsvd", a, b]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["gsvd", str(gapped), b]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_missing_input_exit_2(self, worked_example, tmp_path, capsys):
+        a, _ = worked_example
+        assert cli.main(["gsvd", a, str(tmp_path / "absent.csv")]) == 2
+        assert "absent.csv" in capsys.readouterr().err
+
+    def test_nan_tolerance_exit_2(self, worked_example, capsys):
+        # a NaN cutoff used to report r = 0 for this full-rank pair
+        a, b = worked_example
+        assert cli.main(["gsvd", a, b, "--tol", "nan"]) == 2
+        assert "rel must be a nonnegative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambdas", ["0,nan", "inf", "1,-inf"])
+    def test_non_finite_lambda_exit_2(self, tmp_path, capsys, lambdas):
+        files = [write_csv(tmp_path / "a.csv", [[1, 0], [0, 1], [1, 1]]),
+                 write_csv(tmp_path / "l.csv", np.eye(2).tolist()),
+                 write_csv(tmp_path / "b.csv", [[1], [2], [3]])]
+        assert cli.main(["tikhonov", *files, "--lambdas", lambdas]) == 2
+        assert "--lambdas" in capsys.readouterr().err
+
+
+class TestPartitionEdges:
+    def test_anova_on_a_matrix_exit_3(self, tmp_path):
+        data = write_csv(tmp_path / "m.csv", [[1, 2], [3, 4], [5, 6]])
+        assert cli.main(["anova", data, "--partition", "1,2"]) == 3
+
+    def test_bad_partition_entry_exit_2(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "v.csv", [[1], [2], [3], [4]])
+        assert cli.main(["anova", data, "--partition", "2,x"]) == 2
+        assert "--partition" in capsys.readouterr().err
+
+    def test_reduce_partition_mismatch_exit_3(self, tmp_path):
+        data = write_csv(tmp_path / "m.csv", np.arange(12.0).reshape(4, 3).tolist())
+        assert cli.main(["reduce", data, "--partition", "2,3",
+                         "--out", str(tmp_path / "mg.csv")]) == 3
+
+    def test_reduce_writes_g(self, tmp_path):
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((9, 4))
+        data = write_csv(tmp_path / "m.csv", m.tolist())
+        out, g_out = str(tmp_path / "mg.csv"), str(tmp_path / "g.csv")
+        assert cli.main(["reduce", data, "--partition", "3,3,3",
+                         "--out", out, "--g-out", g_out]) == 0
+        g = cli.read_matrix(g_out)
+        assert g.shape == (4, 2)
+        np.testing.assert_allclose(cli.read_matrix(out), cli.read_matrix(data) @ g,
+                                   atol=1e-12)
+
+
+class TestEmptyOutputs:
+    def test_ellipse_of_a_zero_pair(self, tmp_path):
+        a = write_csv(tmp_path / "a.csv", [[0, 0], [0, 0]])
+        b = write_csv(tmp_path / "b.csv", [[0, 0]])
+        out = str(tmp_path / "ellipse.json")
+        assert cli.main(["ellipse", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        assert doc["cosine_boundary"] == doc["sine_boundary"] == []
+        assert doc["cosine_lengths"] == doc["angles"] == []
+
+    @pytest.mark.parametrize("key, value", [("compact", "no"), ("compact", 0),
+                                            ("u", [["x", 1.0]]), ("h", [[1.0], [2.0, 3.0]])],
+                             ids=["compact string", "compact integer",
+                                  "string entry", "ragged rows"])
+    def test_verify_rejects_ill_typed_entries_exit_2(self, worked_example, tmp_path,
+                                                      key, value):
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        doc[key] = value
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert cli.main(["verify", a, b, out]) == 2

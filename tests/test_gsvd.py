@@ -552,3 +552,103 @@ class TestConventions:
                      "null_a", "null_b", "common_null"):
             np.testing.assert_array_equal(getattr(top, name), getattr(bottom, name), err_msg=name)
         assert np.linalg.norm(b - top.col_b @ (top.col_b.T @ b)) <= 1e-12 * max(np.linalg.norm(b), 1.0)
+
+
+# a zero pair, and a nonzero pair that an absolute tolerance above its
+# scale makes rank 0
+RANK_ZERO_PAIRS = {
+    "zero_pair": (np.zeros((3, 4)), np.zeros((2, 4)), Tolerance()),
+    "abs_cutoff": (np.arange(12.0).reshape(3, 4), np.ones((2, 4)), Tolerance(abs=1e3)),
+}
+
+
+@pytest.mark.parametrize("key", RANK_ZERO_PAIRS)
+class TestRankZero:
+    def test_factors(self, key):
+        a, b, tol = RANK_ZERO_PAIRS[key]
+        f = gsvd.gsvd_decompose(a, b, tol)
+        assert (f.r, f.r_a, f.r_b) == (0, 0, 0)
+        np.testing.assert_array_equal(f.u, np.eye(3))
+        np.testing.assert_array_equal(f.v, np.eye(2))
+        assert f.c.shape == f.s.shape == f.v_col_of.shape == (0,)
+        assert f.h.shape == (0, 4)
+        fc = gsvd.gsvd_decompose(a, b, tol, compact=True)
+        assert fc.u.shape == (3, 0) and fc.v.shape == (2, 0)
+        assert fc.h.shape == (0, 4)
+
+    def test_fundamental_subspaces(self, key):
+        a, b, tol = RANK_ZERO_PAIRS[key]
+        bases = gsvd.fundamental_subspaces(gsvd.gsvd_decompose(a, b, tol), a, b)
+        assert bases.col_a.shape == (3, 0) and bases.col_b.shape == (2, 0)
+        np.testing.assert_array_equal(bases.left_null_a, np.eye(3))
+        np.testing.assert_array_equal(bases.left_null_b, np.eye(2))
+        assert bases.row_ab.shape == (0, 4)
+        # every direction is in the common nullspace
+        for name in ("common_null", "null_a", "null_b"):
+            np.testing.assert_array_equal(getattr(bases, name), np.eye(4), err_msg=name)
+
+    def test_expand(self, key):
+        a, b, tol = RANK_ZERO_PAIRS[key]
+        f = gsvd.gsvd_decompose(a, b, tol)
+        c_exp, s_exp, h_exp = gsvd.expand(f)
+        np.testing.assert_array_equal(c_exp, np.zeros((3, 4)))
+        np.testing.assert_array_equal(s_exp, np.zeros((2, 4)))
+        np.testing.assert_array_equal(h_exp, np.eye(4))
+
+    def test_rq_drilldown(self, key):
+        a, b, tol = RANK_ZERO_PAIRS[key]
+        for compact in (False, True):
+            r, q = gsvd.rq_drilldown(gsvd.gsvd_decompose(a, b, tol, compact=compact))
+            assert r.shape == (0, 0)
+            np.testing.assert_array_equal(q, np.eye(4))
+
+
+def regime_table(m1, m2, r):
+    # the degree-of-freedom entries written out regime by regime, for
+    # m1 <= m2, then mirrored: an oracle for the closed form
+    if m1 > m2:
+        t = regime_table(m2, m1, r)
+        return {**t, "u_stiefel": t["v_stiefel"], "v_stiefel": t["u_stiefel"],
+                "r_a_generic": t["r_b_generic"], "r_b_generic": t["r_a_generic"]}
+    m = m1 + m2
+    if r <= m1:
+        return {"angles": r, "u_stiefel": (m1 - r) * r + r * (r - 1) // 2,
+                "v_stiefel": (m2 - r) * r + r * (r - 1) // 2,
+                "grassmann": 0, "r_a_generic": r, "r_b_generic": r}
+    if r <= m2:
+        return {"angles": m1, "u_stiefel": m1 * (m1 - 1) // 2,
+                "v_stiefel": (m2 - m1) * m1 + m1 * (m1 - 1) // 2,
+                "grassmann": (r - m1) * (m2 - r), "r_a_generic": m1, "r_b_generic": r}
+    k = m - r
+    return {"angles": k, "u_stiefel": (r - m2) * k + k * (k - 1) // 2,
+            "v_stiefel": (r - m1) * k + k * (k - 1) // 2,
+            "grassmann": 0, "r_a_generic": m1, "r_b_generic": m2}
+
+
+class TestParameterCountClosedForm:
+    def test_matches_the_regime_tables(self):
+        for m1 in range(1, 8):
+            for m2 in range(1, 8):
+                for n in range(1, 16):
+                    for r in range(1, min(m1 + m2, n) + 1):
+                        counts = gsvd.parameter_count(m1, m2, n, r)
+                        want = regime_table(m1, m2, r)
+                        assert {key: counts[key] for key in want} == want, (m1, m2, n, r)
+
+    def test_regime_labels(self):
+        assert gsvd.parameter_count(2, 5, 9, 2)["regime"] == "r <= min(m1, m2)"
+        assert gsvd.parameter_count(5, 2, 9, 4)["regime"] == "min(m1, m2) <= r <= max(m1, m2)"
+        assert gsvd.parameter_count(2, 5, 9, 6)["regime"] == "max(m1, m2) <= r"
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2, 1), (2, -1, 2, 1), (2, 2, 0, 1),
+                                      (2.0, 2, 2, 1)])
+    def test_rejects_a_nonpositive_or_noninteger_dimension(self, dims):
+        with pytest.raises(InvalidDimensions):
+            gsvd.parameter_count(*dims)
+
+
+class TestFormatChecks:
+    def test_fundamental_subspaces_needs_full_format(self, rng):
+        a, b = random_pair(rng, 4, 3, 3)
+        with pytest.raises(ValueError, match="full-format"):
+            gsvd.fundamental_subspaces(gsvd.gsvd_decompose(a, b, compact=True), a, b)

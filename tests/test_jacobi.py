@@ -22,6 +22,21 @@ class TestParams:
         with pytest.raises(ValueError):
             jacobi.JacobiParams(m1=3, m2=3, n=2, beta=0.0)
 
+    def test_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta"):
+            jacobi.JacobiParams(m1=3, m2=3, n=2, beta=float("nan"))
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            jacobi.JacobiParams(m1=3, m2=3, n=0)
+
+    def test_rejects_a_nonintegrable_density(self):
+        # with m1, m2 >= n the exponent a1 - p is beta (m1 - n + 1) / 2 - 1
+        # > -1; at beta = 1e-300 it rounds to -1, where l^(a1 - p) is not
+        # integrable at 0
+        with pytest.raises(ValueError, match="not integrable"):
+            jacobi.JacobiParams(m1=3, m2=3, n=2, beta=1e-300)
+
 
 class TestSampling:
     def test_unsupported_beta(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsvdkit import matcore
+from gsvdkit.errors import DomainError
 from gsvdkit.matcore import Tolerance
 
 from conftest import random_orthonormal
@@ -29,6 +30,13 @@ class TestValidation:
             Tolerance(rel=-1.0)
         with pytest.raises(ValueError):
             Tolerance(abs=-1.0)
+
+    @pytest.mark.parametrize("field", ["rel", "abs"])
+    def test_tolerance_rejects_nan(self, field):
+        # a NaN cutoff compares False with every singular value, so it
+        # would report rank 0 for any matrix
+        with pytest.raises(DomainError):
+            Tolerance(**{field: float("nan")})
 
 
 class TestNumericalRank:

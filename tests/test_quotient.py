@@ -352,3 +352,26 @@ class TestAugmentRows:
         np.testing.assert_allclose(f0.s, f1.s, atol=1e-12)
         np.testing.assert_allclose(f0.u, f1.u, atol=1e-12)
         np.testing.assert_allclose(f0.h, f1.h, atol=1e-12)
+
+
+class TestRankZeroTrigTable:
+    @pytest.mark.parametrize("a, b, tol", [
+        (np.zeros((3, 4)), np.zeros((2, 4)), Tolerance()),
+        (np.arange(12.0).reshape(3, 4), np.ones((2, 4)), Tolerance(abs=1e3)),
+    ], ids=["zero_pair", "abs_cutoff"])
+    def test_every_row_is_empty_and_exact(self, a, b, tol):
+        f = gsvd.gsvd_decompose(a, b, tol)
+        assert f.r == 0
+        table = quotient.trig_table(f, a, b)
+        for name in ("cos", "sin", "tan", "cot"):
+            row = table.row(name)
+            assert row.applicable, name
+            assert row.expected.size == 0 and row.max_dev == 0.0, name
+
+
+class TestLimitCurveFormat:
+    def test_needs_full_format(self):
+        baug = quotient.augment_rows(ROW11, 2)
+        f = gsvd.gsvd_decompose(DIAG34, baug, compact=True)
+        with pytest.raises(ValueError, match="full-format"):
+            quotient.limit_curve(f, 1e-2)

@@ -316,3 +316,28 @@ class TestLemniscate:
             f = gsvd.gsvd_decompose(a, b)
             scale = max(1.0, np.linalg.norm(x))
             assert abs(subgeom.lemniscate_residual2(f, x)) <= 1e-9 * scale**6
+
+
+class TestEmptyCases:
+    def test_zero_a1_has_no_angles(self, rng):
+        result = subgeom.principal_angles(np.zeros((5, 2)), rng.standard_normal((5, 3)))
+        assert result.cosines.shape == result.angles.shape == (0,)
+        assert result.a1_vectors.shape == result.a2_vectors.shape == (5, 0)
+
+    def test_square_y1_leaves_no_q_part(self, rng):
+        m = rng.standard_normal((4, 3))
+        y1 = random_orthonormal(rng, 4, 4)
+        split, _ = subgeom.additive_split(m, y1)
+        assert split.y2.shape == (4, 0)
+        np.testing.assert_array_equal(split.q_part, np.zeros((4, 3)))
+        assert np.linalg.norm(split.p_part - m) <= 1e-12 * np.linalg.norm(m)
+
+    def test_rank_zero_ellipse_is_empty(self):
+        for compact in (False, True):
+            f = gsvd.gsvd_decompose(np.zeros((3, 4)), np.zeros((2, 4)), compact=compact)
+            data = subgeom.ellipse_data(f)
+            assert data.cosine_lengths.shape == data.sine_lengths.shape == (0,)
+            assert data.angles.shape == (0,)
+            assert data.cosine_directions.shape == (3, 0)
+            assert data.sine_directions.shape == (2, 0)
+            assert data.sphere_points.shape == (5, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsvdkit import gsvd, tikhonov
-from gsvdkit.errors import SingularH
+from gsvdkit.errors import DimensionMismatch, DomainError, SingularH
 
 from conftest import relative_gap
 
@@ -162,3 +162,21 @@ class TestDirectSolve:
         np.testing.assert_allclose(tikhonov.direct_solve(p, 0.0),
                                    np.linalg.lstsq(p.a, p.b, rcond=None)[0],
                                    atol=1e-12)
+
+
+class TestLambdaDomain:
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_every_route_rejects(self, rng, lam):
+        # inf * 0 would put NaN where s_i = 0; NaN fails every comparison
+        p = random_problem(rng)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            tikhonov.lambda_factors(p, lam)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            tikhonov.solve_path(p, [1.0, lam])
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            tikhonov.direct_solve(p, lam)
+
+    def test_b_of_the_wrong_length(self, rng):
+        with pytest.raises(DimensionMismatch, match="b has length 5"):
+            tikhonov.TikhonovProblem(rng.standard_normal((6, 3)), np.eye(3),
+                                     rng.standard_normal(5))
