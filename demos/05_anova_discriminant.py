@@ -68,6 +68,6 @@ print("5. Rank-k reconstruction keeps the dominant shared structure")
 print("=" * 64)
 f5 = gk.gsvd_decompose(a, b)
 for k in (1, 2, f5.r):
-    ak, bk = gk.reconstruct_terms(f5, k)
+    ak, bk = gk.rank_reduce(f5, a, b, k)
     err = np.linalg.norm(np.vstack([ak, bk]) - np.vstack([a, b]))
     print(f"  k = {k}: stacked residual {err:.4f}")

@@ -50,7 +50,6 @@ from .stats import (
     apportion,
     cluster_design,
     discriminant_reduce,
-    reconstruct_terms,
 )
 from .subgeom import (
     AdditiveSplit,
@@ -121,7 +120,6 @@ __all__ = [
     "cluster_design",
     "anova_f",
     "apportion",
-    "reconstruct_terms",
     "discriminant_reduce",
     "JacobiParams",
     "SeededRng",

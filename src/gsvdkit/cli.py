@@ -82,10 +82,6 @@ def write_matrix(path: str, m: np.ndarray) -> None:
             fh.write(row_fmt % tuple(row.tolist()))
 
 
-def _listify(a: np.ndarray):
-    return np.asarray(a, dtype=float).tolist()
-
-
 # ----------------------------------------------------------- factor documents
 
 def generalized_value_tokens(f: gsvd.GsvdFactors):
@@ -103,13 +99,13 @@ def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) ->
         "tolerance": {"rel": tol.rel, "abs": tol.abs},
         "u": f.u.tolist(),
         "v": f.v.tolist(),
-        "c": _listify(f.c),
-        "s": _listify(f.s),
+        "c": f.c.tolist(),
+        "s": f.s.tolist(),
         "h": f.h.tolist(),
         "v_col_of": [int(j) for j in f.v_col_of],
         "structure": dataclasses.asdict(gsvd.structure_counts(f)),
         "generalized_values": generalized_value_tokens(f),
-        "angles": _listify(angles),
+        "angles": angles.tolist(),
         "apportionment": {
             "theta_lo": stats.THETA_LO,
             "theta_hi": stats.THETA_HI,
@@ -125,7 +121,10 @@ def factors_from_document(doc) -> gsvd.GsvdFactors:
     key the factors need, the dimensions and ranks as nonnegative integers,
     `v_col_of` as integers and `compact` as a boolean; DimensionMismatch
     (exit 3) unless U, V, H and the value lists have the shapes those
-    dimensions and ranks give.
+    dimensions and ranks give, and the ranks agree with the values: `ra`
+    counts the positive c_i that U has a column for (a positive c_i past
+    U's last column is a misplaced entry, which `verify` reports), and `rb`
+    the positive s_i.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
@@ -143,11 +142,18 @@ def factors_from_document(doc) -> gsvd.GsvdFactors:
     compact = doc["compact"]
     shapes = ((m1, ra if compact else m1), (m2, rb if compact else m2),
               (r,), (r,), (r, n), (r,))
-    return gsvd.GsvdFactors(
+    f = gsvd.GsvdFactors(
         **{key: _document_array(doc[key], key, shape)
            for key, shape in zip(arrays, shapes)},
         r=r, r_a=ra, r_b=rb, m1=m1, m2=m2, n=n, compact=compact,
     )
+    counts = (np.count_nonzero(f.c[: f.u.shape[1]] > 0), np.count_nonzero(f.s > 0))
+    if counts != (ra, rb):
+        raise DimensionMismatch(
+            f"ra = {ra} and rb = {rb}, but the document has {counts[0]} positive "
+            f"cosines and {counts[1]} positive sines"
+        )
+    return f
 
 
 def _document_array(value, key: str, shape: tuple) -> np.ndarray:
@@ -289,8 +295,8 @@ def cmd_tikhonov(args) -> int:
         print(f"{lam:>12g} {x_norm:>18.12g}")
         doc_rows.append({
             "lambda": lam,
-            "x": _listify(x),
-            "damping": _listify(damp),
+            "x": x.tolist(),
+            "damping": damp.tolist(),
             "x_norm": x_norm,
         })
     if args.json:
@@ -320,12 +326,12 @@ def cmd_ellipse(args) -> int:
     f = gsvd.gsvd_decompose(a, b, tol)
     data = subgeom.ellipse_data(f)
     doc = {
-        "cosine_lengths": _listify(data.cosine_lengths),
+        "cosine_lengths": data.cosine_lengths.tolist(),
         "cosine_directions": data.cosine_directions.tolist(),
-        "sine_lengths": _listify(data.sine_lengths),
+        "sine_lengths": data.sine_lengths.tolist(),
         "sine_directions": data.sine_directions.tolist(),
         "sphere_points": data.sphere_points.tolist(),
-        "angles": _listify(data.angles),
+        "angles": data.angles.tolist(),
         "cosine_boundary": _ellipse_boundary(data.cosine_lengths, data.cosine_directions),
         "sine_boundary": _ellipse_boundary(data.sine_lengths[::-1], data.sine_directions[:, ::-1]),
     }

@@ -209,7 +209,8 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
 
 def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # gsvd_decompose, also returning the singular values of a it reads r_a
-    # from, so callers that need ||A||_2 do not factor A again.
+    # from, so callers that need them (||A||_2, a cross-check reference) do
+    # not factor A again.
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[1]:
@@ -387,11 +388,16 @@ def rq_drilldown(f: GsvdFactors):
 def rank_reduce(f: GsvdFactors, a, b, k: int):
     """Keep the first k outer-product terms of [A; B] = sum_i g_i h_i'.
 
-    Returns the rank-<=k pair (A_k, B_k); equals multiplying [A; B] on the
-    right by the oblique projector H^+ I_{r,k} I_{r,k}' H.
+    g_i = [u_i c_i; v_i s_i] is column i of [U C; V S].  Returns the
+    rank-<=k pair (A_k, B_k), the partial sum of those terms; it equals
+    multiplying [A; B] on the right by the oblique projector
+    H^+ I_{r,k} I_{r,k}' H.  k = r rebuilds the pair and k = 0 gives zeros.
     """
     _check_pair(f, a, b)
-    return _leading_terms(f, k)
+    if not 0 <= k <= f.r:
+        raise RankOutOfRange(f"k must be in [0, {f.r}], got {k}")
+    approx = f.stacked_unit_basis()[:, :k] @ f.h[:k, :]
+    return approx[: f.m1], approx[f.m1:]
 
 
 def _check_pair(f: GsvdFactors, a, b):
@@ -405,14 +411,6 @@ def _check_pair(f: GsvdFactors, a, b):
             f"but the factors are of a {f.m1}x{f.n} and {f.m2}x{f.n} pair"
         )
     return a, b
-
-
-def _leading_terms(f: GsvdFactors, k: int):
-    # (A_k, B_k) from the first k terms of [A; B] = sum_i g_i h_i'.
-    if not 0 <= k <= f.r:
-        raise RankOutOfRange(f"k must be in [0, {f.r}], got {k}")
-    approx = f.stacked_unit_basis()[:, :k] @ f.h[:k, :]
-    return approx[: f.m1], approx[f.m1:]
 
 
 def parameter_count(m1: int, m2: int, n: int, r: int) -> dict:

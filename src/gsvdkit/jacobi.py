@@ -105,13 +105,18 @@ class EmpiricalReport:
     draws: np.ndarray = field(compare=False, repr=False)
 
 
-def manova_matrix(a: np.ndarray, b: np.ndarray, symmetric: bool = True) -> np.ndarray:
-    """(A'A + B'B)^{-1} A'A, or its symmetric congruence variant."""
+def manova_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetric MANOVA matrix S^{-1/2} A'A S^{-1/2}, with S = A'A + B'B.
+
+    It is similar to (A'A + B'B)^{-1} A'A, so its eigenvalues are the
+    squared cosines of gsvd(A, B), and it is Hermitian, so `eigvalsh`
+    reads them.  [A; B] must have full column rank.  `sample_manova` never
+    forms it: this is the eigenproblem reference its CS-step draws are
+    checked against.
+    """
     aa = a.conj().T @ a
     bb = b.conj().T @ b
     s = aa + bb
-    if not symmetric:
-        return np.linalg.solve(s, aa)
     w, q = np.linalg.eigh(s)
     inv_sqrt = (q / np.sqrt(w)) @ q.conj().T
     return inv_sqrt @ aa @ inv_sqrt

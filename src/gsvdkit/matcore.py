@@ -23,7 +23,6 @@ __all__ = [
     "full_svd",
     "pinv",
     "orth_basis",
-    "nullspace_basis",
     "complete_basis",
 ]
 
@@ -131,14 +130,14 @@ def _qr_apply(x: np.ndarray, c: np.ndarray):
 
 
 def _completed(q: np.ndarray) -> np.ndarray:
-    # [q | complete_basis(q)] for q with 0 <= k <= m orthonormal columns,
-    # square, with the completion written in place into one buffer.
+    # [q | complete_basis(q)] for q with 0 <= k < m orthonormal columns,
+    # square, with the completion written in place into one buffer.  `_svd`
+    # completes only the longer side, so k < m always holds.
     m, k = q.shape
     out = np.zeros((m, m), order="F")
     out[:, :k] = q
-    if k < m:
-        np.fill_diagonal(out[k:, k:], 1.0)
-        _qr_apply(q, out[:, k:])
+    np.fill_diagonal(out[k:, k:], 1.0)
+    _qr_apply(q, out[:, k:])
     return out
 
 
@@ -170,10 +169,10 @@ def full_svd(m):
     Returns (u, sigma, v) with sigma descending of length min(rows, cols).
     A thin SVD supplies the singular vectors; the longer side's factor is
     completed to a square one by `complete_basis`.  Column signs are
-    normalized so factorizations are deterministic.  `pinv`, `orth_basis`
-    and `nullspace_basis` take the same oriented SVD with only the columns
-    they read: the thin one, and for `nullspace_basis` of a wide matrix a
-    completed v.
+    normalized so factorizations are deterministic.  `pinv` and
+    `orth_basis` take the same oriented SVD thin.  The trailing columns
+    v[:, k:], k = numerical_rank(m), are an orthonormal basis for the
+    nullspace of m.
     """
     return _svd(as_matrix(m), complete_u=True, complete_v=True)
 
@@ -199,20 +198,6 @@ def orth_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
     m = as_matrix(m)
     u, sigma, _ = _svd(m)
     return u[:, : _rank_of(sigma, m.shape, tol)]
-
-
-def nullspace_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Orthonormal basis (columns) for the nullspace of m.
-
-    The trailing right singular vectors, oriented as in `full_svd`; v is
-    completed only when m is wide, the one shape where the thin SVD lacks
-    nullspace columns.
-    """
-    m = as_matrix(m)
-    _, sigma, v = _svd(m, complete_v=True)
-    if sigma[0] <= 0.0:
-        return np.eye(m.shape[1])
-    return v[:, _rank_of(sigma, m.shape, tol):]
 
 
 def complete_basis(q) -> np.ndarray:

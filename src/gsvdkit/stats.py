@@ -17,7 +17,7 @@ from .errors import (
     InvalidPartition,
     ZeroWithin,
 )
-from .gsvd import GsvdFactors, _leading_terms
+from .gsvd import GsvdFactors
 from .matcore import EPS, Tolerance, as_matrix, as_vector
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "cluster_design",
     "anova_f",
     "apportion",
-    "reconstruct_terms",
     "discriminant_reduce",
 ]
 
@@ -89,10 +88,18 @@ def cluster_design(partition) -> ClusterDesign:
     constraint [I | -ones] has the all-ones vector as its nullspace.  The
     U factor of gsvd(indicator, constraint) delivers the split: one mean
     column (all entries 1/sqrt(p)), k - 1 between columns, p - k within.
+    Sizes must be whole numbers >= 1: 6.0 is taken as 6, but 2.5 or "2"
+    raises InvalidPartition rather than being truncated or parsed.
     """
-    parts = [int(x) for x in partition]
-    if len(parts) < 2 or any(x < 1 for x in parts):
-        raise InvalidPartition(f"need k >= 2 cluster sizes all >= 1, got {parts}")
+    sizes = list(partition)
+    try:
+        parts = [int(x) for x in sizes]
+    except (TypeError, ValueError, OverflowError):
+        parts = None
+    if parts != sizes or len(parts) < 2 or min(parts) < 1:
+        raise InvalidPartition(
+            f"need k >= 2 cluster sizes, all whole numbers >= 1, got {sizes}"
+        )
     k = len(parts)
     p = sum(parts)
     indicator = np.zeros((p, k))
@@ -180,13 +187,6 @@ def _band_labels(angles, theta_lo: float = THETA_LO, theta_hi: float = THETA_HI)
         "A-dominant" if t < theta_lo else ("B-dominant" if t > theta_hi else "mixed")
         for t in angles
     )
-
-
-def reconstruct_terms(f: GsvdFactors, k: int):
-    """Partial sums of the outer-product expansion: first k terms of
-    [A; B] = sum_i [u_i c_i; v_i s_i] h_i'.  Returns (A_k, B_k); this is
-    `rank_reduce` without the input shape check."""
-    return _leading_terms(f, k)
 
 
 def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):

@@ -73,7 +73,9 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     orthogonal, and the cosines are the principal cosines (Bjorck & Golub
     1973), as accurate as Q1 whatever the conditioning of a1.  They must
     agree with the classical svd(Q1' Y) values to 1e-9; coincident and
-    orthogonal directions snap to exactly 1 and 0.
+    orthogonal directions snap to exactly 1 and 0.  Those reference values
+    are the singular values of Y' Q1 that the GSVD reads r_a from, so the
+    pair is factored once.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -92,10 +94,10 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     top = y.T @ q1
     bottom = q1 - y @ top
     bottom -= y @ (y.T @ bottom)
-    f = gsvd.gsvd_decompose(top, bottom, matcore._pinned(tol, a1.shape), compact=True)
+    f, sv_top = gsvd._decompose(top, bottom, matcore._pinned(tol, a1.shape), compact=True)
     cosines = f.c[:k].copy()
 
-    reference = np.clip(matcore._svdvals(top), 0.0, 1.0)[:k]
+    reference = np.clip(sv_top, 0.0, 1.0)[:k]
     gap = float(np.max(np.abs(np.sort(cosines) - np.sort(reference))))
     if gap > 1e-9:
         raise NumericalCheckFailed(

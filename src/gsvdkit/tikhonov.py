@@ -76,10 +76,6 @@ class TikhonovProblem:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_factors", f)
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class LambdaFactors:

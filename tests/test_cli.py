@@ -359,6 +359,24 @@ class TestVerifyCommand:
         assert cli.main(["verify", a, b, out]) == 2
         assert capsys.readouterr().err.startswith("gsvdkit verify: ")
 
+    @pytest.mark.parametrize("key, value", [("ra", 3), ("ra", 0), ("rb", 2)])
+    def test_ranks_contradicting_the_values_exit_3(self, tmp_path, key, value, capsys):
+        # full format: U and V are square whatever ra and rb say, so only
+        # the counts of positive cosines and sines can give them away
+        rng = np.random.default_rng(0)
+        a = write_csv(tmp_path / "a.csv", rng.standard_normal((5, 4)).tolist())
+        b = write_csv(tmp_path / "b.csv", rng.standard_normal((3, 4)).tolist())
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        assert (doc["r"], doc["ra"], doc["rb"]) == (4, 4, 3)
+        doc[key] = value
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 3
+        assert capsys.readouterr().err.startswith("gsvdkit verify: ")
+
     def test_cosine_without_a_u_column_exits_5(self, tmp_path):
         # r = 3 > m1 = 2 leaves c_3 = 0 with no column of U; a positive c_3
         # has no u_3 to pair with

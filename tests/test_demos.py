@@ -1,9 +1,11 @@
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_six_demos_found():
@@ -14,3 +16,10 @@ def test_all_six_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_library_tour_runs():
+    # the README's first python block, so no name it uses can go stale
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(tour, "README.md library tour", "exec"), {})

@@ -79,15 +79,6 @@ class TestSampling:
         se = dist.std() / np.sqrt(draws.size)
         assert abs(draws.mean() - dist.mean()) <= 3 * se
 
-    def test_symmetric_and_nonsymmetric_forms_agree(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((5, 3))
-            b = rng.standard_normal((6, 3))
-            sym = np.sort(np.linalg.eigvalsh(jacobi.manova_matrix(a, b)))
-            nonsym = np.sort(np.real(
-                np.linalg.eigvals(jacobi.manova_matrix(a, b, symmetric=False))))
-            np.testing.assert_allclose(sym, nonsym, atol=1e-9)
-
     def test_eigenvalues_are_squared_cosines(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 5))

@@ -6,7 +6,6 @@ from gsvdkit.errors import (
     DegenerateData,
     DimensionMismatch,
     InvalidPartition,
-    RankOutOfRange,
     ZeroWithin,
 )
 
@@ -56,6 +55,19 @@ class TestClusterDesign:
             stats.cluster_design([5])
         with pytest.raises(InvalidPartition):
             stats.cluster_design([3, 0])
+
+    @pytest.mark.parametrize("parts", [[2.5, 3], ["2", 3], [3, float("nan")]],
+                             ids=["fraction", "string", "nan"])
+    def test_sizes_that_are_not_whole_numbers_raise(self, parts):
+        # int(2.5) would silently give a partition of (2, 3)
+        with pytest.raises(InvalidPartition):
+            stats.cluster_design(parts)
+
+    def test_whole_float_sizes_are_accepted(self):
+        design = stats.cluster_design([6.0, 6.0, 6.0])
+        assert design.partition == (6, 6, 6)
+        np.testing.assert_array_equal(design.u_split,
+                                      stats.cluster_design([6, 6, 6]).u_split)
 
 
 class TestAnova:
@@ -124,28 +136,6 @@ class TestApportion:
         f = gsvd.gsvd_decompose(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             stats.apportion(f, theta_lo=1.0, theta_hi=0.5)
-
-
-class TestReconstructTerms:
-    def test_matches_rank_reduce(self, rng):
-        a, b = random_pair(rng, 6, 4, 4)
-        f = gsvd.gsvd_decompose(a, b)
-        for k in range(f.r + 1):
-            ak, bk = stats.reconstruct_terms(f, k)
-            ak2, bk2 = gsvd.rank_reduce(f, a, b, k)
-            scale = max(np.linalg.norm(np.vstack([a, b])), 1.0)
-            assert np.linalg.norm(ak - ak2) <= 1e-11 * scale
-            assert np.linalg.norm(bk - bk2) <= 1e-11 * scale
-
-    def test_ends(self, rng):
-        a, b = random_pair(rng, 5, 3, 3)
-        f = gsvd.gsvd_decompose(a, b)
-        ak, bk = stats.reconstruct_terms(f, f.r)
-        assert np.linalg.norm(ak - a) <= 1e-12 * np.linalg.norm(a)
-        a0, b0 = stats.reconstruct_terms(f, 0)
-        assert np.all(a0 == 0) and np.all(b0 == 0)
-        with pytest.raises(RankOutOfRange):
-            stats.reconstruct_terms(f, f.r + 1)
 
 
 class TestDiscriminantReduce:

@@ -109,6 +109,16 @@ class TestPrincipalAngles:
             w = subgeom.principal_angles(a1, a2).a1_vectors
             assert np.linalg.norm(w.T @ w - np.eye(d1), 2) <= 1e-14
 
+    def test_factors_y_q1_once(self, rng, monkeypatch):
+        # the GSVD reads r_a from the singular values of Y' Q1, and the
+        # cross-check compares against the same values: three singular-value
+        # calls (stacked pair, Y' Q1, residual), not a fourth for the check
+        calls = []
+        svdvals = matcore._svdvals
+        monkeypatch.setattr(matcore, "_svdvals", lambda x: calls.append(x.shape) or svdvals(x))
+        subgeom.principal_angles(rng.standard_normal((12, 4)), rng.standard_normal((12, 3)))
+        assert calls == [(15, 4), (3, 4), (12, 4)]
+
 
 def assert_matches_svd_route(a1, a2):
     # the cosines against svd(Q1' Y) on the library's own bases, so both
