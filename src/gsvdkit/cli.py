@@ -35,6 +35,7 @@ from .errors import (
 from .matcore import Tolerance
 
 CSV_FMT = "%.17g"
+_ELLIPSE_SAMPLES = 64
 
 
 # ---------------------------------------------------------------- file I/O
@@ -203,16 +204,12 @@ def _fmt_values(tokens) -> str:
     return ", ".join(t if isinstance(t, str) else repr(t) for t in tokens)
 
 
-def _tol_from_args(args) -> Tolerance:
-    return Tolerance(rel=args.tol) if args.tol is not None else Tolerance()
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_gsvd(args) -> int:
     a = read_matrix(args.a, args.header)
     b = read_matrix(args.b, args.header)
-    tol = _tol_from_args(args)
+    tol = Tolerance(rel=args.tol)
     f = gsvd.gsvd_decompose(a, b, tol, compact=args.compact)
     if args.convention == "top":
         f = gsvd.with_top_convention(f)
@@ -242,9 +239,10 @@ def cmd_verify(args) -> int:
     with open(args.json, encoding="utf-8") as fh:
         doc = json.load(fh)
     f = factors_from_document(doc)
+    tol = _document_tolerance(doc)
     a, b = gsvd._check_pair(f, a, b)
     failed = False
-    for label, dev in _factor_deviations(f, np.vstack([a, b])):
+    for label, dev in _factor_deviations(f, a, b, tol):
         print(f"{label}: {dev:.3g}")
         failed |= not dev <= 1e-10
     if failed:
@@ -254,13 +252,36 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _factor_deviations(f: gsvd.GsvdFactors, stacked: np.ndarray):
+def _document_tolerance(doc: dict) -> Tolerance:
+    # The tolerance the document's factors were taken at, or DocumentError
+    # unless it is an object with a null-or-number rel and a number abs;
+    # Tolerance raises DomainError (also exit 2) for a negative one.
+    tol = doc.get("tolerance")
+    if not (isinstance(tol, dict) and "rel" in tol
+            and (tol["rel"] is None or _finite_number(tol["rel"]))
+            and _finite_number(tol.get("abs"))):
+        raise DocumentError(
+            f"tolerance must be an object with a null or number rel and a number abs, got {tol!r}"
+        )
+    return Tolerance(rel=tol["rel"], abs=tol["abs"])
+
+
+def _finite_number(x) -> bool:
+    # A JSON number in the float range: bool is an int subclass, and JSON
+    # integers are unbounded, so 10**400 would overflow the cutoff.
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _factor_deviations(f: gsvd.GsvdFactors, a: np.ndarray, b: np.ndarray, tol: Tolerance):
     # (label, deviation) for each property `verify` certifies: the product,
     # then the factors themselves, since a product can be right with U
     # scaled by t and C by 1/t.  Compact U and V have orthonormal columns.
     # v_col_of must hold -1 exactly where s_i = 0 and otherwise a column of
     # V that no other v_i holds, and c_i > 0 only where U has a column i;
-    # the product is formed only when both hold.
+    # the product is formed only when both hold.  Last, the class counts
+    # rest on (r, ra, rb), so the inputs' ranks are judged again at the
+    # document's tolerance, as `gsvd_decompose` judged them.
+    stacked = np.vstack([a, b])
     placed = f.v_col_of[f.s > 0]
     misplaced = (np.count_nonzero(f.v_col_of[f.s <= 0] != -1) + placed.size
                  - np.unique(placed[(placed >= 0) & (placed < f.v.shape[1])]).size
@@ -277,6 +298,9 @@ def _factor_deviations(f: gsvd.GsvdFactors, stacked: np.ndarray):
     yield "c, s order and range", np.max(np.concatenate([
         np.diff(f.c), -np.diff(f.s), -f.c, f.c - 1.0, -f.s, f.s - 1.0]), initial=0.0)
     yield "misplaced c and v_col_of entries", float(misplaced)
+    ranks = gsvd._ranks(a, b, stacked, tol)[0]
+    yield "ranks (r, ra, rb) differing from the inputs'", float(
+        sum(x != y for x, y in zip(ranks, (f.r, f.r_a, f.r_b))))
 
 
 def cmd_tikhonov(args) -> int:
@@ -306,12 +330,7 @@ def cmd_tikhonov(args) -> int:
 
 def cmd_anova(args) -> int:
     v = read_vector(args.data, args.header)
-    partition = _parse_list(args.partition, "--partition", int)
-    if sum(partition) != v.size:
-        raise InvalidPartition(
-            f"partition sums to {sum(partition)} but data has {v.size} entries"
-        )
-    design = stats.cluster_design(partition)
+    design = _design_from_args(args, v.size, "entries")
     report = stats.anova_f(design, v)
     print(f"between sum of squares: {report.between_norm_sq!r} (df={report.df_between})")
     print(f"within  sum of squares: {report.within_norm_sq!r} (df={report.df_within})")
@@ -322,8 +341,7 @@ def cmd_anova(args) -> int:
 def cmd_ellipse(args) -> int:
     a = read_matrix(args.a, args.header)
     b = read_matrix(args.b, args.header)
-    tol = _tol_from_args(args)
-    f = gsvd.gsvd_decompose(a, b, tol)
+    f = gsvd.gsvd_decompose(a, b, Tolerance(rel=args.tol))
     data = subgeom.ellipse_data(f)
     doc = {
         "cosine_lengths": data.cosine_lengths.tolist(),
@@ -343,13 +361,13 @@ def cmd_ellipse(args) -> int:
     return 0
 
 
-def _ellipse_boundary(lengths: np.ndarray, directions: np.ndarray, samples: int = 64):
+def _ellipse_boundary(lengths: np.ndarray, directions: np.ndarray):
     # Boundary of the shadow ellipse in the plane of the two leading
     # semi-axes, sampled on a parameter grid and emitted in ambient
     # coordinates for external plotting.
     if lengths.size == 0:
         return []
-    ts = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    ts = np.linspace(0.0, 2 * np.pi, _ELLIPSE_SAMPLES, endpoint=False)
     pts = np.outer(lengths[0] * np.cos(ts), directions[:, 0])
     if lengths.size > 1:
         pts = pts + np.outer(lengths[1] * np.sin(ts), directions[:, 1])
@@ -368,12 +386,7 @@ def cmd_angles(args) -> int:
 
 def cmd_reduce(args) -> int:
     m = read_matrix(args.data, args.header)
-    partition = _parse_list(args.partition, "--partition", int)
-    if sum(partition) != m.shape[0]:
-        raise InvalidPartition(
-            f"partition sums to {sum(partition)} but data has {m.shape[0]} rows"
-        )
-    design = stats.cluster_design(partition)
+    design = _design_from_args(args, m.shape[0], "rows")
     g, mg = stats.discriminant_reduce(m, design)
     write_matrix(args.out, mg)
     if args.g_out:
@@ -398,6 +411,17 @@ def cmd_jacobi(args) -> int:
 
 
 # ------------------------------------------------------------------- parsing
+
+def _design_from_args(args, count: int, unit: str) -> stats.ClusterDesign:
+    # The cluster design of --partition, whose sizes must add up to the
+    # data's count of entries or rows.
+    partition = _parse_list(args.partition, "--partition", int)
+    if sum(partition) != count:
+        raise InvalidPartition(
+            f"partition sums to {sum(partition)} but data has {count} {unit}"
+        )
+    return stats.cluster_design(partition)
+
 
 def _parse_list(text: str, flag: str, convert):
     try:

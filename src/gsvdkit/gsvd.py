@@ -220,16 +220,7 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     m1, n = a.shape
     m2 = b.shape[0]
     stacked = np.vstack([a, b])
-
-    # One cutoff for all three rank decisions, anchored at the scale of the
-    # stacked pair: a block that is pure roundoff relative to the other is
-    # rank zero here even though it is "full rank" at its own scale.
-    sv_st = matcore._svdvals(stacked)
-    cut = tol.cutoff(stacked.shape, sv_st[0])
-    r = int(np.count_nonzero(sv_st > cut))
-    sv_a = matcore._svdvals(a)
-    r_a = int(np.count_nonzero(sv_a > cut))
-    r_b = int(np.count_nonzero(matcore._svdvals(b) > cut))
+    (r, r_a, r_b), sv_a = _ranks(a, b, stacked, tol)
 
     q, rmat, perm = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
     qa, qb = q[:m1, :r], q[m1:, :r]
@@ -279,6 +270,20 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
         r=r, r_a=r_a, r_b=r_b, m1=m1, m2=m2, n=n,
         v_col_of=v_col_of, compact=compact,
     ), sv_a
+
+
+def _ranks(a: np.ndarray, b: np.ndarray, stacked: np.ndarray, tol: Tolerance):
+    # ((r, r_a, r_b), singular values of a) for the pair and its stacked
+    # matrix [a; b].  One cutoff serves all three rank decisions, anchored
+    # at the scale of the stacked pair: a block that is pure roundoff
+    # relative to the other is rank zero here even though it is "full
+    # rank" at its own scale.
+    sv_st = matcore._svdvals(stacked)
+    cut = tol.cutoff(stacked.shape, sv_st[0])
+    sv_a = matcore._svdvals(a)
+    ranks = tuple(int(np.count_nonzero(sv > cut))
+                  for sv in (sv_st, sv_a, matcore._svdvals(b)))
+    return ranks, sv_a
 
 
 def structure_counts(f: GsvdFactors) -> CsStructure:
@@ -394,8 +399,8 @@ def rank_reduce(f: GsvdFactors, a, b, k: int):
     H^+ I_{r,k} I_{r,k}' H.  k = r rebuilds the pair and k = 0 gives zeros.
     """
     _check_pair(f, a, b)
-    if not 0 <= k <= f.r:
-        raise RankOutOfRange(f"k must be in [0, {f.r}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= f.r:
+        raise RankOutOfRange(f"k must be an integer in [0, {f.r}], got {k!r}")
     approx = f.stacked_unit_basis()[:, :k] @ f.h[:k, :]
     return approx[: f.m1], approx[f.m1:]
 

@@ -83,9 +83,9 @@ def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
     return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
 
 
-def _pinned(tol: Tolerance, shape) -> Tolerance:
-    # tol, its default relative cutoff fixed at that of a matrix of this shape.
-    return tol if tol.rel is not None else Tolerance(max(shape) * EPS, tol.abs)
+def _pinned(shape) -> Tolerance:
+    # The default tolerance, its relative cutoff fixed at this shape's.
+    return Tolerance(max(shape) * EPS)
 
 
 def _svdvals(x: np.ndarray) -> np.ndarray:

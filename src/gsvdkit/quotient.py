@@ -21,6 +21,7 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    InvalidDimensions,
     NeedsAugmentation,
     NoAugmentationNeeded,
     NumericalCheckFailed,
@@ -160,35 +161,34 @@ def _projector(f: GsvdFactors, a: np.ndarray, nb: np.ndarray) -> HorizontalProje
     return HorizontalProjector(p=p, kept_dim=m1 - k)
 
 
-def quotient_check(a, b, tol: Tolerance = Tolerance()):
+def quotient_check(a, b):
     """Return (finite nonzero cotangents, nonzero svd(P A B^+), nonzero svd(A B^+)).
 
     The first two lists agree; the third exhibits the discrepancy whenever
-    r_b < r.  All lists are sorted descending.  B^+ and null(B) are cut at
-    the GSVD's r_b, so B's rank is decided once, at the stacked pair's scale.
+    r_b < r.  All lists are sorted descending.  The GSVD is taken at the
+    default tolerance and B^+ and null(B) are cut at its r_b, so B's rank
+    is decided once, at the stacked pair's scale; a singular value counts
+    as nonzero above the noise floor eps max(m1, m2, n) ||A||_2 ||B^+||_2.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     # one factorization of each input serves the GSVD, the projector and A B^+
-    f, sv_a = _decompose(a, b, tol, compact=True)
+    f, sv_a = _decompose(a, b, Tolerance(), compact=True)
     a_norm = float(sv_a[0])
     ub, sv_b, vb = matcore._svd(b, complete_v=True)
     proj = _projector(f, a, vb[:, f.r_b:])
     abdag = a @ matcore._svd_pinv(ub, sv_b, vb, f.r_b)
     # entries of A B^+ carry absolute noise ~ eps ||A|| ||B^+||; singular
-    # values below that floor are indistinguishable from zero
+    # values below that floor are indistinguishable from zero.  Both
+    # products have norm at most ||A|| ||B^+||, so a relative cutoff at
+    # their shape never rises above the floor.
     bdag_norm = 1.0 / sv_b[f.r_b - 1] if f.r_b else 0.0
     floor = matcore.EPS * max(max(a.shape), max(b.shape)) * a_norm * bdag_norm
-    sv_ab = _nonzero(matcore._svdvals(abdag), abdag.shape, tol, floor)
-    pab = proj.p @ abdag
-    sv_pab = _nonzero(matcore._svdvals(pab), pab.shape, tol, floor)
+    sv_ab = matcore._svdvals(abdag)
+    sv_pab = matcore._svdvals(proj.p @ abdag)
     finite = (f.s > 0) & (f.c > 0)
     gsv = np.sort(f.c[finite] / f.s[finite])[::-1]
-    return gsv, sv_pab, sv_ab
-
-
-def _nonzero(sv: np.ndarray, shape, tol: Tolerance, floor: float = 0.0) -> np.ndarray:
-    return sv[sv > max(tol.cutoff(shape, sv[0]), floor)]
+    return gsv, sv_pab[sv_pab > floor], sv_ab[sv_ab > floor]
 
 
 def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
@@ -225,6 +225,8 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
 def augment_rows(b, r: int) -> np.ndarray:
     """Zero-pad B to r rows; gsvd values, U, C, and H are unaffected."""
     b = as_matrix(b)
+    if not isinstance(r, (int, np.integer)):
+        raise InvalidDimensions(f"r must be an integer, got {r!r}")
     if r <= b.shape[0]:
         raise NoAugmentationNeeded(f"B already has {b.shape[0]} >= {r} rows")
     return np.vstack([b, np.zeros((r - b.shape[0], b.shape[1]))])

@@ -189,7 +189,7 @@ def _band_labels(angles, theta_lo: float = THETA_LO, theta_hi: float = THETA_HI)
     )
 
 
-def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
+def discriminant_reduce(m, design: ClusterDesign):
     """Reduce data to the directions carrying nonzero between/within slope.
 
     Takes gsvd(U2' M, W) and multiplies M on the right by
@@ -198,22 +198,23 @@ def discriminant_reduce(m, design: ClusterDesign, tol: Tolerance = Tolerance()):
     reduction.  H^+ is taken at the rank r of those factors.
 
     The projection W = M - Y1 Y1' M has the Gram of U3' M, so the factors
-    are those of gsvd(U2' M, U3' M) at that pair's rank cutoff.  Returns
-    (G, M G).
+    are those of gsvd(U2' M, U3' M) at that pair's default rank cutoff.
+    Data whose H is no larger than the default cutoff of M's shape and
+    norm is degenerate.  Returns (G, M G).
     """
     m = as_matrix(m)
     if m.shape[0] != design.p:
         raise DimensionMismatch(f"data has {m.shape[0]} rows, expected {design.p}")
     between = design.u2.T @ m
     within = m - design.y1 @ (design.y1.T @ m)
-    pair_tol = matcore._pinned(tol, (design.p - 1, m.shape[1]))
+    pair_tol = matcore._pinned((design.p - 1, m.shape[1]))
     f = gsvd.gsvd_decompose(between, within, pair_tol, compact=True)
     # mean-only data leaves nothing but roundoff in both parts; judge that
     # against the scale of the data, not of the noise.  [U C; V S] has
     # orthonormal columns, so ||H||_2 is the norm of the stacked parts, and
     # [u1' M; H] has the Gram of u_split' M, so its norm is ||M||_2.
     norm_m = matcore._svdvals(np.vstack([design.u1.T @ m, f.h]))[0]
-    if f.r == 0 or (h_svd := matcore._svd(f.h))[1][0] <= tol.cutoff(m.shape, norm_m):
+    if f.r == 0 or (h_svd := matcore._svd(f.h))[1][0] <= Tolerance().cutoff(m.shape, norm_m):
         raise DegenerateData("between and within parts are both zero")
     cols = min(design.k - 1, f.r)
     g = matcore._svd_pinv(*h_svd, f.r)[:, :cols]

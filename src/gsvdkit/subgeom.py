@@ -21,7 +21,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .gsvd import GsvdFactors
-from .matcore import Tolerance, as_matrix, as_vector
+from .matcore import as_matrix, as_vector
 
 __all__ = [
     "PrincipalAngles",
@@ -63,11 +63,11 @@ class EllipseData:
     angles: np.ndarray              # theta_i = atan2(s_i, c_i), nondecreasing
 
 
-def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
+def principal_angles(a1, a2) -> PrincipalAngles:
     """Principal angles between col(a1) and col(a2), via the GSVD route.
 
     With Q1 = orth_basis(a1) and Y = orth_basis(a2), take the GSVD of
-    (Y' Q1, Q1 - Y Y' Q1), the residual projected twice, at the rank
+    (Y' Q1, Q1 - Y Y' Q1), the residual projected twice, at the default
     cutoff of a1's shape.  The stacked pair has the Gram Q1' Q1 = I, so its
     columns are orthonormal: its rank is dim col(a1) by construction, H is
     orthogonal, and the cosines are the principal cosines (Bjorck & Golub
@@ -83,8 +83,8 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
         raise DimensionMismatch(
             f"row counts differ: {a1.shape[0]} vs {a2.shape[0]}"
         )
-    q1 = matcore.orth_basis(a1, tol)
-    y = matcore.orth_basis(a2, tol)
+    q1 = matcore.orth_basis(a1)
+    y = matcore.orth_basis(a2)
     d1, d2 = q1.shape[1], y.shape[1]
     k = min(d1, d2)
     if k == 0:
@@ -94,7 +94,7 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     top = y.T @ q1
     bottom = q1 - y @ top
     bottom -= y @ (y.T @ bottom)
-    f, sv_top = gsvd._decompose(top, bottom, matcore._pinned(tol, a1.shape), compact=True)
+    f, sv_top = gsvd._decompose(top, bottom, matcore._pinned(a1.shape), compact=True)
     cosines = f.c[:k].copy()
 
     reference = np.clip(sv_top, 0.0, 1.0)[:k]
@@ -115,7 +115,7 @@ def principal_angles(a1, a2, tol: Tolerance = Tolerance()) -> PrincipalAngles:
     )
 
 
-def additive_split(m, y1, tol: Tolerance = Tolerance()):
+def additive_split(m, y1):
     """Split M = P + Q with P'Q = 0 against the subspace spanned by y1.
 
     y1 must have orthonormal columns; y2 completes it.  Returns the split
@@ -134,7 +134,7 @@ def additive_split(m, y1, tol: Tolerance = Tolerance()):
     y2 = matcore.complete_basis(y1)
     top = y1.T @ m
     bottom = y2.T @ m if y2.shape[1] else np.zeros((1, m.shape[1]))
-    f = gsvd.gsvd_decompose(top, bottom, tol)
+    f = gsvd.gsvd_decompose(top, bottom)
     p_part = y1 @ (f.u @ f.c_matrix() @ f.h)
     if y2.shape[1]:
         q_part = y2 @ (f.v @ f.s_matrix() @ f.h)

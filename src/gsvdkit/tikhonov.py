@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import gsvd
 from .errors import DimensionMismatch, DomainError, SingularH
-from .matcore import Tolerance, as_matrix, as_vector
+from .matcore import as_matrix, as_vector
 
 __all__ = [
     "TikhonovProblem",
@@ -43,10 +43,10 @@ __all__ = [
 class TikhonovProblem:
     """Data (A, L, b) with A of full column rank, and the compact GSVD of (A, L).
 
-    The decomposition is taken once, at construction and at `tol`; A has
-    full column rank exactly when its r_a equals n, and otherwise the
-    constructor raises SingularH.  `base_factors`, `lambda_factors` and
-    `solve_path` all read these factors.
+    The decomposition is taken once, at construction and at the default
+    tolerance; A has full column rank exactly when its r_a equals n, and
+    otherwise the constructor raises SingularH.  `base_factors`,
+    `lambda_factors` and `solve_path` all read these factors.
     """
 
     a: np.ndarray
@@ -54,7 +54,7 @@ class TikhonovProblem:
     b: np.ndarray
     _factors: gsvd.GsvdFactors = field(repr=False, compare=False)
 
-    def __init__(self, a, l, b, tol: Tolerance = Tolerance()):
+    def __init__(self, a, l, b):
         a = as_matrix(a)
         l = as_matrix(l)
         b = as_vector(b)
@@ -66,7 +66,7 @@ class TikhonovProblem:
             raise DimensionMismatch(
                 f"b has length {b.size}, expected {a.shape[0]}"
             )
-        f = gsvd.gsvd_decompose(a, l, tol, compact=True)
+        f = gsvd.gsvd_decompose(a, l, compact=True)
         if f.r_a < a.shape[1]:
             raise SingularH(
                 f"A must have full column rank: rank {f.r_a} < {a.shape[1]} columns"

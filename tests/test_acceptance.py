@@ -23,7 +23,7 @@ def report(number, ok, detail):
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def best_of(fn, repeats=5):
+def best_of(fn, repeats=20):
     fn()  # warmup
     best = np.inf
     for _ in range(repeats):

@@ -423,6 +423,69 @@ class TestVerifyCommand:
                     assert printed.endswith("verify: OK\n")
                     assert "||U'U - I||_F" in printed and "v_col_of" in printed
 
+    def test_ranks_above_the_inputs_exit_5(self, tmp_path, capsys):
+        # a rank-3 pair whose document gains an index (c, s) = (0, 1) with
+        # a zero row of H and a free column of V: the product and every
+        # factor check still pass, but r = 4 and rb = 4 are not the pair's
+        rng = np.random.default_rng(0)
+        ma, mb = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        ma[:, -1] = mb[:, -1] = 0.0
+        a = write_csv(tmp_path / "a.csv", ma.tolist())
+        b = write_csv(tmp_path / "b.csv", mb.tolist())
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        assert (doc["r"], doc["ra"], doc["rb"]) == (3, 3, 3)
+        free = min(set(range(5)) - set(doc["v_col_of"]))
+        doc["c"].append(0.0)
+        doc["s"].append(1.0)
+        doc["h"].append([0.0] * 4)
+        doc["v_col_of"].append(free)
+        doc["r"] += 1
+        doc["rb"] += 1
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 5
+        captured = capsys.readouterr()
+        assert "ranks (r, ra, rb) differing from the inputs': 2\n" in captured.out
+        assert "verify: FAIL" in captured.err
+
+    def test_ranks_are_judged_at_the_document_tolerance(self, tmp_path, capsys):
+        # one direction at 1e-12 relative: rank 3 at the default cutoff,
+        # rank 2 at rel = 1e-11, the tolerance the document records
+        ma, mb = np.diag([1.0, 1.0, 1e-12]), np.array([[1.0, 0.0, 0.0]])
+        assert gsvd.gsvd_decompose(ma, mb).r == 3
+        a = write_csv(tmp_path / "a.csv", ma.tolist())
+        b = write_csv(tmp_path / "b.csv", mb.tolist())
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--tol", "1e-11", "--json", out]) == 0
+        assert read_json(out)["r"] == 2
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 0
+        assert "ranks (r, ra, rb) differing from the inputs': 0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", [None, 1e-11, {"rel": "1e-11", "abs": 0.0},
+                                           {"rel": None, "abs": None}, {"abs": 0.0},
+                                           {"rel": True, "abs": 0.0}, {"rel": -1.0, "abs": 0.0},
+                                           {"rel": None, "abs": 10**400}],
+                             ids=["missing", "not an object", "string rel", "null abs",
+                                  "no rel", "boolean rel", "negative rel", "huge abs"])
+    def test_malformed_tolerance_exits_2(self, worked_example, tmp_path, tolerance, capsys):
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        if tolerance is None:
+            del doc["tolerance"]
+        else:
+            doc["tolerance"] = tolerance
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 2
+        assert capsys.readouterr().err.startswith("gsvdkit verify: ")
+
 
 class TestTikhonovCommand:
     def test_monotone_norms_with_identity_regularizer(self, tmp_path, capsys):

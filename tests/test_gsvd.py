@@ -478,6 +478,15 @@ class TestRankReduce:
         with pytest.raises(RankOutOfRange):
             gsvd.rank_reduce(f, a, b, -1)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1"])
+    def test_non_integer_k_raises(self, rng, k):
+        # slicing with 1.5 raised a bare TypeError
+        a, b = random_pair(rng, 3, 3, 2)
+        f = gsvd.gsvd_decompose(a, b)
+        with pytest.raises(RankOutOfRange):
+            gsvd.rank_reduce(f, a, b, k)
+        assert gsvd.rank_reduce(f, a, b, np.int64(1))[0].shape == (3, 2)
+
     def test_wrong_shapes_raise(self, rng):
         a, b = random_pair(rng, 5, 6, 4)
         f = gsvd.gsvd_decompose(a, b)

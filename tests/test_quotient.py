@@ -6,6 +6,7 @@ import pytest
 from gsvdkit import gsvd, quotient
 from gsvdkit.errors import (
     DimensionMismatch,
+    InvalidDimensions,
     NeedsAugmentation,
     NoAugmentationNeeded,
     NumericalCheckFailed,
@@ -368,6 +369,13 @@ class TestAugmentRows:
     def test_error_when_not_needed(self):
         with pytest.raises(NoAugmentationNeeded):
             quotient.augment_rows(ROW11, 1)
+
+    @pytest.mark.parametrize("r", [2.5, 2.0])
+    def test_non_integer_row_count_raises(self, r):
+        # np.zeros with 2.5 rows raised a bare TypeError
+        with pytest.raises(InvalidDimensions):
+            quotient.augment_rows(ROW11, r)
+        assert quotient.augment_rows(ROW11, np.int64(2)).shape == (2, 2)
 
     def test_factors_unchanged(self):
         f0 = gsvd.gsvd_decompose(DIAG34, ROW11)
