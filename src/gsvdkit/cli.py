@@ -91,7 +91,6 @@ def generalized_value_tokens(f: gsvd.GsvdFactors):
 
 
 def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) -> dict:
-    angles = f.theta()
     return {
         "m1": f.m1, "m2": f.m2, "n": f.n,
         "r": f.r, "ra": f.r_a, "rb": f.r_b,
@@ -104,6 +103,15 @@ def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) ->
         "s": f.s.tolist(),
         "h": f.h.tolist(),
         "v_col_of": [int(j) for j in f.v_col_of],
+        **_derived_keys(f),
+    }
+
+
+def _derived_keys(f: gsvd.GsvdFactors) -> dict:
+    # The document keys computed from the factors alone, in document order;
+    # `verify` compares a document's with these.
+    angles = f.theta()
+    return {
         "structure": dataclasses.asdict(gsvd.structure_counts(f)),
         "generalized_values": generalized_value_tokens(f),
         "angles": angles.tolist(),
@@ -120,33 +128,44 @@ def factors_from_document(doc) -> gsvd.GsvdFactors:
 
     DocumentError (exit 2) unless the document is an object holding every
     key the factors need, the dimensions and ranks as nonnegative integers,
-    `v_col_of` as integers and `compact` as a boolean; DimensionMismatch
-    (exit 3) unless U, V, H and the value lists have the shapes those
-    dimensions and ranks give, and the ranks agree with the values: `ra`
-    counts the positive c_i that U has a column for (a positive c_i past
-    U's last column is a misplaced entry, which `verify` reports), and `rb`
-    the positive s_i.
+    `convention` as "bottom" or "top", `v_col_of` as integers and `compact`
+    as a boolean; DimensionMismatch (exit 3) unless U, V, H and the value
+    lists have the shapes those dimensions and ranks give, V has room for
+    rb sine columns, and the ranks agree with the values: `ra` counts the
+    positive c_i that U has a column for (a positive c_i past U's last
+    column is a misplaced entry, which `verify` reports), and `rb` the
+    positive s_i.  The sine block starts where `convention` puts it: at V's
+    right end for a full-format bottom layout, else at its first column.
+    The document's own `v_col_of` is checked for its type and shape only;
+    `verify` compares it with the factors'.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     dims = ("m1", "m2", "n", "r", "ra", "rb")
-    arrays = ("u", "v", "c", "s", "h", "v_col_of")
-    missing = [key for key in (*dims, "compact", *arrays) if key not in doc]
+    arrays = ("u", "v", "c", "s", "h")
+    missing = [key for key in (*dims, "convention", "compact", *arrays, "v_col_of")
+               if key not in doc]
     if missing:
         raise DocumentError(f"missing keys: {', '.join(missing)}")
     for key in dims:
         if type(doc[key]) is not int or doc[key] < 0:
             raise DocumentError(f"{key} must be a nonnegative integer, got {doc[key]!r}")
+    convention = doc["convention"]
+    if convention not in ("bottom", "top"):
+        raise DocumentError(f'convention must be "bottom" or "top", got {convention!r}')
     if not isinstance(doc["compact"], bool):
         raise DocumentError(f"compact must be true or false, got {doc['compact']!r}")
     m1, m2, n, r, ra, rb = (doc[key] for key in dims)
     compact = doc["compact"]
-    shapes = ((m1, ra if compact else m1), (m2, rb if compact else m2),
-              (r,), (r,), (r, n), (r,))
+    shapes = ((m1, ra if compact else m1), (m2, rb if compact else m2), (r,), (r,), (r, n))
+    fields = {key: _document_array(doc[key], key, shape) for key, shape in zip(arrays, shapes)}
+    _document_array(doc["v_col_of"], "v_col_of", (r,))
+    if rb > fields["v"].shape[1]:
+        raise DimensionMismatch(f"rb = {rb} exceeds V's {fields['v'].shape[1]} columns")
+    bottom = convention == "bottom" and not compact
     f = gsvd.GsvdFactors(
-        **{key: _document_array(doc[key], key, shape)
-           for key, shape in zip(arrays, shapes)},
-        r=r, r_a=ra, r_b=rb, m1=m1, m2=m2, n=n, compact=compact,
+        **fields, r=r, r_a=ra, r_b=rb, m1=m1, m2=m2, n=n,
+        v_start=m2 - rb if bottom else 0, compact=compact,
     )
     counts = (np.count_nonzero(f.c[: f.u.shape[1]] > 0), np.count_nonzero(f.s > 0))
     if counts != (ra, rb):
@@ -242,7 +261,7 @@ def cmd_verify(args) -> int:
     tol = _document_tolerance(doc)
     a, b = gsvd._check_pair(f, a, b)
     failed = False
-    for label, dev in _factor_deviations(f, a, b, tol):
+    for label, dev in _factor_deviations(f, doc, a, b, tol):
         print(f"{label}: {dev:.3g}")
         failed |= not dev <= 1e-10
     if failed:
@@ -272,19 +291,19 @@ def _finite_number(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _factor_deviations(f: gsvd.GsvdFactors, a: np.ndarray, b: np.ndarray, tol: Tolerance):
+def _factor_deviations(f: gsvd.GsvdFactors, doc: dict, a: np.ndarray, b: np.ndarray,
+                       tol: Tolerance):
     # (label, deviation) for each property `verify` certifies: the product,
     # then the factors themselves, since a product can be right with U
     # scaled by t and C by 1/t.  Compact U and V have orthonormal columns.
-    # v_col_of must hold -1 exactly where s_i = 0 and otherwise a column of
-    # V that no other v_i holds, and c_i > 0 only where U has a column i;
-    # the product is formed only when both hold.  Last, the class counts
-    # rest on (r, ra, rb), so the inputs' ranks are judged again at the
-    # document's tolerance, as `gsvd_decompose` judged them.
+    # The document's v_col_of must be the factors' own, the sine block where
+    # its convention puts it, and c_i > 0 only where U has a column i; the
+    # product is formed only when both hold.  Then the class counts rest on
+    # (r, ra, rb), so the inputs' ranks are judged again at the document's
+    # tolerance, as `gsvd_decompose` judged them; last, the keys derived
+    # from the factors must be theirs.
     stacked = np.vstack([a, b])
-    placed = f.v_col_of[f.s > 0]
-    misplaced = (np.count_nonzero(f.v_col_of[f.s <= 0] != -1) + placed.size
-                 - np.unique(placed[(placed >= 0) & (placed < f.v.shape[1])]).size
+    misplaced = (np.count_nonzero(np.array(doc["v_col_of"]) != f.v_col_of)
                  + np.count_nonzero(f.c[f.u.shape[1]:] > 0))
     rel = np.inf
     if misplaced == 0:
@@ -301,6 +320,8 @@ def _factor_deviations(f: gsvd.GsvdFactors, a: np.ndarray, b: np.ndarray, tol: T
     ranks = gsvd._ranks(a, b, stacked, tol)[0]
     yield "ranks (r, ra, rb) differing from the inputs'", float(
         sum(x != y for x, y in zip(ranks, (f.r, f.r_a, f.r_b))))
+    yield "derived keys differing from the factors'", float(
+        sum(doc.get(key) != value for key, value in _derived_keys(f).items()))
 
 
 def cmd_tikhonov(args) -> int:

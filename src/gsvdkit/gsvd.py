@@ -16,9 +16,9 @@ cosine/sine pairs split into three blocks,
 
     #{c_i = 1} = r - r_b,   #{0 < c_i < 1} = r_a + r_b - r,   #{c_i = 0} = r - r_a,
 
-and the sine placement follows the bottom-aligned convention: the columns
-of V carrying the nonzero-sine directions sit at the right end of V, with
-the explicit `v_col_of` map recording where each v_i lives.
+and S is one-diagonal: the v_i with s_i > 0 are r_b adjacent columns of V
+from `v_start`, at V's right end in the bottom-aligned convention
+`gsvd_decompose` returns and at its left end after `with_top_convention`.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class GsvdFactors:
     c is descending and s ascending, both in [0, 1] with c_i^2 + s_i^2 = 1.
     Values in the infinite class are snapped to (c, s) = (1, 0) exactly and
     in the zero class to (0, 1) exactly, so structure counts are integers.
-    `v_col_of[i]` is the column of v holding v_i, or -1 where s_i = 0.
-    In compact format u is m1 x r_a and v is m2 x r_b (left-nullspace
-    columns dropped).
+    S is one-diagonal: the v_i with s_i > 0 are r_b adjacent columns from
+    `v_start`.  In compact format u is m1 x r_a and v is m2 x r_b
+    (left-nullspace columns dropped).
 
     Ties among equal c_i keep the order delivered by the underlying SVD;
     the corresponding U/V blocks are only determined up to rotation within
@@ -76,8 +76,15 @@ class GsvdFactors:
     m1: int
     m2: int
     n: int
-    v_col_of: np.ndarray
+    v_start: int
     compact: bool = False
+
+    @property
+    def v_col_of(self) -> np.ndarray:
+        """Column of v holding v_i for each index i, -1 where s_i = 0."""
+        out = np.full(self.r, -1, dtype=int)
+        out[self.n_infinite:] = self.v_start + np.arange(self.r_b)
+        return out
 
     @property
     def n_infinite(self) -> int:
@@ -112,8 +119,7 @@ class GsvdFactors:
     def s_matrix(self) -> np.ndarray:
         rows = self.v.shape[1]
         sm = np.zeros((rows, self.r))
-        idx = np.flatnonzero(self.v_col_of >= 0)
-        sm[self.v_col_of[idx], idx] = self.s[idx]
+        np.fill_diagonal(sm[self.v_start:, self.n_infinite:], self.s[self.n_infinite:])
         return sm
 
     def stacked_unit_basis(self) -> np.ndarray:
@@ -134,8 +140,7 @@ class GsvdFactors:
     def v_dirs(self) -> np.ndarray:
         """v_i per index as one m2 x r matrix, a zero column where s_i = 0; either format."""
         out = np.zeros((self.m2, self.r))
-        idx = np.flatnonzero(self.v_col_of >= 0)
-        out[:, idx] = self.v[:, self.v_col_of[idx]]
+        out[:, self.n_infinite:] = self.v[:, self.v_start:self.v_start + self.r_b]
         return out
 
 
@@ -251,15 +256,12 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # to the identity with columns rotated left by r_b gives
     # V = [complement | Q[:, :r_b]] directly; the compact route applies it
     # to [I_rb; 0] alone.
-    nz = np.arange(n_inf, r)
     skip = 0 if compact else m2 - r_b
-    v_col_of = np.full(r, -1, dtype=int)
-    v_col_of[nz] = skip + np.arange(r_b)
-    denom = np.where(s[nz] > 0, s[nz], 1.0)
+    denom = np.where(s[n_inf:] > 0, s[n_inf:], 1.0)
     rhs = np.zeros((m2, skip + r_b), order="F")
     np.fill_diagonal(rhs[r_b:, :skip], 1.0)
     np.fill_diagonal(rhs[:, skip:], 1.0)
-    v, diag_r = matcore._qr_apply(qbw[:, nz] / denom, rhs)
+    v, diag_r = matcore._qr_apply(qbw[:, n_inf:] / denom, rhs)
     v[:, skip:] *= np.where(diag_r < 0, -1.0, 1.0)
 
     h = w.T @ rmat[:r]
@@ -268,7 +270,7 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     return GsvdFactors(
         u=u, v=v, c=c, s=s, h=h,
         r=r, r_a=r_a, r_b=r_b, m1=m1, m2=m2, n=n,
-        v_col_of=v_col_of, compact=compact,
+        v_start=skip, compact=compact,
     ), sv_a
 
 
@@ -301,14 +303,14 @@ def fundamental_subspaces(f: GsvdFactors, a, b) -> FundamentalBases:
     """Extract bases for the fundamental subspaces of (a, b) from the factors.
 
     Column spaces and left nullspaces come from splitting the columns of U
-    at the zero columns of C, and those of V into the v_i that `v_col_of`
-    records and the rest, so either convention gives the same bases.
+    at the zero columns of C, and those of V into the sine block from
+    `v_start` and the rest, so either convention gives the same bases.
     Nullspaces combine columns of H^+ (where C or S has a zero column),
     taken at the rank r of the factors, with the common nullspace, which is
     null(H), read from the RQ drilldown.
     """
     if f.compact:
-        raise ValueError("fundamental_subspaces needs full-format factors")
+        raise DimensionMismatch("fundamental_subspaces needs full-format factors")
     _check_pair(f, a, b)
     col_a = f.u[:, : f.r_a]
     left_null_a = f.u[:, f.r_a:]
@@ -330,24 +332,20 @@ def compact(f: GsvdFactors) -> GsvdFactors:
     """Drop the zero rows of C and S and the matching columns of U and V.
 
     Keeps the column-space bases and the reconstruction property; the
-    left-nullspace bases are gone.  V keeps the leading r_b columns of the
-    top layout, the v_i in index order, so either convention compacts to the
-    same factors.  Idempotent.
+    left-nullspace bases are gone.  V keeps its sine block, the v_i in index
+    order, so either convention compacts to the same factors.  Idempotent.
     """
     if f.compact:
         return f
-    top = with_top_convention(f)
-    return dataclasses.replace(top, u=f.u[:, : f.r_a], v=top.v[:, : f.r_b], compact=True)
+    return dataclasses.replace(f, u=f.u[:, : f.r_a], v=f.v[:, f.v_start:f.v_start + f.r_b],
+                               v_start=0, compact=True)
 
 
 def _v_split(f: GsvdFactors):
-    # (sine columns, remaining columns) of f.v: the columns holding v_i for
-    # s_i > 0 in index order, read from v_col_of, then the rest in their
-    # order.  The sines are nonzero exactly past the infinite class.
-    sine = f.v_col_of[f.n_infinite:]
-    rest = np.ones(f.v.shape[1], dtype=bool)
-    rest[sine] = False
-    return f.v[:, sine], f.v[:, rest]
+    # (sine block, remaining columns) of f.v: the v_i for s_i > 0 in index
+    # order, then the rest in their order.
+    block = slice(f.v_start, f.v_start + f.r_b)
+    return f.v[:, block], np.delete(f.v, block, axis=1)
 
 
 def _h_pinv(f: GsvdFactors) -> np.ndarray:
@@ -476,10 +474,8 @@ def parameter_count(m1: int, m2: int, n: int, r: int) -> dict:
 def with_top_convention(f: GsvdFactors) -> GsvdFactors:
     """Re-express V with the nonzero-sine columns on the left (top-aligned S).
 
-    The v_i are read from `v_col_of` and put first, in index order, ahead
-    of the remaining columns, so any layout in, full or compact, gives the
-    top layout out, and applying it twice changes nothing.
+    The sine block is moved ahead of the remaining columns, so any layout
+    in, full or compact, gives the top layout out, and applying it twice
+    changes nothing.
     """
-    v_col_of = f.v_col_of.copy()
-    v_col_of[f.n_infinite:] = np.arange(f.r_b)
-    return dataclasses.replace(f, v=np.hstack(_v_split(f)), v_col_of=v_col_of)
+    return dataclasses.replace(f, v=np.hstack(_v_split(f)), v_start=0)

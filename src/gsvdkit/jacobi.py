@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .errors import DomainError, UnsupportedBeta
+from .errors import DomainError, InvalidDimensions, UnsupportedBeta
 
 __all__ = [
     "JacobiParams",
@@ -48,13 +48,13 @@ class JacobiParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be positive")
+            raise InvalidDimensions("n must be positive")
         if self.m1 < self.n or self.m2 < self.n:
-            raise ValueError("need m1 >= n and m2 >= n")
+            raise InvalidDimensions("need m1 >= n and m2 >= n")
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise DomainError(f"beta must be positive, got {self.beta}")
         if self.a1 - self.p <= -1 or self.a2 - self.p <= -1:
-            raise ValueError("density is not integrable for these parameters")
+            raise DomainError("density is not integrable for these parameters")
 
     @property
     def a1(self) -> float:
@@ -182,7 +182,7 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
     plus a split-half self-consistency gap in standard-error units.
     """
     if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful check")
+        raise DomainError("need at least 1000 samples for a meaningful check")
     gen = rng.generator()
     batch = max(1, int(_BATCH_NORMALS / (params.beta * (params.m1 + params.m2) * params.n)))
     draws = np.empty((n_samples, params.n))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DomainError
+from .errors import DomainError, InvalidDimensions
 
 __all__ = [
     "EPS",
@@ -36,11 +36,11 @@ def as_matrix(a) -> np.ndarray:
     """Validate `a` as a 2-D float64 matrix with positive dims, finite entries."""
     m = np.array(a, dtype=np.float64, copy=True)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
+        raise InvalidDimensions(f"expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
+        raise InvalidDimensions(f"matrix dimensions must be positive, got {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise DomainError("matrix entries must be finite")
     return m
 
 
@@ -50,9 +50,9 @@ def as_vector(a) -> np.ndarray:
     if v.ndim == 2 and 1 in v.shape:
         v = v.ravel()
     if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a vector, got shape {np.shape(a)}")
+        raise InvalidDimensions(f"expected a vector, got shape {np.shape(a)}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise DomainError("vector entries must be finite")
     return v
 
 

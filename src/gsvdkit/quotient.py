@@ -21,6 +21,8 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    DimensionMismatch,
+    DomainError,
     InvalidDimensions,
     NeedsAugmentation,
     NoAugmentationNeeded,
@@ -198,13 +200,13 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
     rank and no infinite generalized values; as eps -> 0 the finite values
     are held fixed and the formerly infinite ones behave as cot(eps).
     Needs m2 >= r so the sine diagonal has room for r nonzero entries.
-    V is rebuilt as [remaining columns | v_i] from `v_col_of` and the r
-    sines take its last r columns, so either convention gives the same pair.
+    V is rebuilt as [remaining columns | sine block] and the r sines take
+    its last r columns, so either convention gives the same pair.
     """
     if not 0.0 < epsilon < np.pi / 4:
-        raise ValueError(f"epsilon must lie in (0, pi/4), got {epsilon}")
+        raise DomainError(f"epsilon must lie in (0, pi/4), got {epsilon}")
     if f.compact:
-        raise ValueError("limit_curve needs full-format factors")
+        raise DimensionMismatch("limit_curve needs full-format factors")
     if f.m2 < f.r:
         raise NeedsAugmentation(
             f"m2 = {f.m2} < r = {f.r}; zero-pad B with augment_rows first"
@@ -216,7 +218,7 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
         v=np.hstack([rest, sine]),
         c=np.where(zero_s, np.cos(epsilon), f.c),
         s=np.where(zero_s, np.sin(epsilon), f.s),
-        v_col_of=f.m2 - f.r + np.arange(f.r),
+        r_b=f.r, v_start=f.m2 - f.r,
     ).reconstruct()
     a_eps, b_eps = stacked[: f.m1], stacked[f.m1:]
     return LimitCurve(epsilon=epsilon, a_eps=a_eps, b_eps=b_eps)

@@ -14,6 +14,7 @@ from . import gsvd, matcore
 from .errors import (
     DegenerateData,
     DimensionMismatch,
+    DomainError,
     InvalidPartition,
     ZeroWithin,
 )
@@ -164,7 +165,7 @@ def apportion(
     makes the per-row attribution shaky.
     """
     if not 0 <= theta_lo <= theta_hi <= np.pi / 2:
-        raise ValueError("need 0 <= theta_lo <= theta_hi <= pi/2")
+        raise DomainError("need 0 <= theta_lo <= theta_hi <= pi/2")
     angles = f.theta()
     if f.r:
         sv = matcore._svdvals(f.h)

@@ -165,7 +165,7 @@ def ellipse_data(f: GsvdFactors) -> EllipseData:
 
 def _check_unit(e: np.ndarray) -> np.ndarray:
     if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-        raise ValueError("e must be a unit vector")
+        raise NotOrthonormal("e must be a unit vector")
     return e
 
 

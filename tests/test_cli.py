@@ -425,8 +425,9 @@ class TestVerifyCommand:
 
     def test_ranks_above_the_inputs_exit_5(self, tmp_path, capsys):
         # a rank-3 pair whose document gains an index (c, s) = (0, 1) with
-        # a zero row of H and a free column of V: the product and every
-        # factor check still pass, but r = 4 and rb = 4 are not the pair's
+        # a zero row of H and a free column of V: r = 4 and rb = 4 are not
+        # the pair's, and the rank line says so (the free column also lies
+        # outside the bottom layout's sine block, so placement fails too)
         rng = np.random.default_rng(0)
         ma, mb = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         ma[:, -1] = mb[:, -1] = 0.0
@@ -485,6 +486,98 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert cli.main(["verify", a, b, out]) == 2
         assert capsys.readouterr().err.startswith("gsvdkit verify: ")
+
+    @pytest.mark.parametrize("change, differing", [
+        ("generalized values", 1), ("structure", 1), ("angles", 1), ("labels", 1),
+        ("all four", 4)])
+    def test_doctored_derived_keys_exit_5(self, worked_example, tmp_path, change,
+                                          differing, capsys):
+        # the factors and the product are untouched; only keys computed
+        # from them say something else
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        if change in ("generalized values", "all four"):
+            doc["generalized_values"] = [1, 7]
+        if change in ("structure", "all four"):
+            doc["structure"]["n_infinite"] = 5
+        if change in ("angles", "all four"):
+            doc["angles"] = [0.3, 0.3]
+        if change in ("labels", "all four"):
+            doc["apportionment"]["labels"] = ["B-dominant", "B-dominant"]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 5
+        printed = capsys.readouterr().out
+        assert f"derived keys differing from the factors': {differing}\n" in printed
+        assert "reconstruction residual (relative Frobenius): inf" not in printed
+
+    def test_swapped_sine_columns_exit_5(self, tmp_path, capsys):
+        # the product is unchanged when two sine columns of V trade places
+        # along with their v_col_of entries, but S is then not one-diagonal
+        rng = np.random.default_rng(0)
+        a = write_csv(tmp_path / "a.csv", rng.standard_normal((5, 4)).tolist())
+        b = write_csv(tmp_path / "b.csv", rng.standard_normal((4, 4)).tolist())
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        assert doc["v_col_of"] == [0, 1, 2, 3]
+        doc["v"] = [[row[1], row[0], *row[2:]] for row in doc["v"]]
+        doc["v_col_of"] = [1, 0, 2, 3]
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 5
+        assert "misplaced c and v_col_of entries: 2\n" in capsys.readouterr().out
+
+    def test_bottom_layout_labelled_top_exits_5(self, tmp_path, capsys):
+        # m2 = 6 > rb = 4, so the two conventions put the sine block apart
+        rng = np.random.default_rng(0)
+        a = write_csv(tmp_path / "a.csv", rng.standard_normal((5, 4)).tolist())
+        b = write_csv(tmp_path / "b.csv", rng.standard_normal((6, 4)).tolist())
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        assert doc["v_col_of"] == [2, 3, 4, 5]
+        doc["convention"] = "top"
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 5
+        assert "misplaced c and v_col_of entries: 4\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("convention", [None, "left", ["top"]],
+                             ids=["missing", "unknown", "not a string"])
+    def test_missing_or_unknown_convention_exits_2(self, worked_example, tmp_path,
+                                                    convention, capsys):
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        if convention is None:
+            del doc["convention"]
+        else:
+            doc["convention"] = convention
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 2
+        assert "convention" in capsys.readouterr().err
+
+    def test_more_sines_than_columns_of_v_exits_3(self, worked_example, tmp_path, capsys):
+        # full format: V is m2 x m2 = 1 x 1, with no room for rb = 2
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        doc["rb"] = 2
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == 3
+        assert "rb = 2 exceeds V's 1 columns" in capsys.readouterr().err
 
 
 class TestTikhonovCommand:
@@ -618,6 +711,22 @@ class TestJacobiCommand:
         assert cli.main(["jacobi", "--m1", "3", "--m2", "5", "--n", "1",
                          "--samples", "2000", "--seed", "1"]) == 0
         assert "KS distance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m1, m2, n, message", [
+        ("2", "5", "3", "need m1 >= n and m2 >= n"),
+        ("3", "5", "0", "n must be positive"),
+    ])
+    def test_impossible_shape_exit_3(self, capsys, m1, m2, n, message):
+        assert cli.main(["jacobi", "--m1", m1, "--m2", m2, "--n", n]) == 3
+        assert capsys.readouterr().err == f"gsvdkit jacobi: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "0"], "beta must be positive"),
+        (["--samples", "999"], "need at least 1000 samples"),
+    ])
+    def test_domain_errors_exit_2(self, capsys, flags, message):
+        assert cli.main(["jacobi", "--m1", "3", "--m2", "5", "--n", "1", *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestInputEdges:
