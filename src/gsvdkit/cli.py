@@ -45,11 +45,13 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            for lineno, cells in enumerate(reader, start=1):
-                if header and lineno == 1:
-                    continue
+            if header:
+                next(reader, None)
+            for cells in reader:
                 if not cells:
                     continue
+                # the file line the record ends on: a quoted cell can span lines
+                lineno = reader.line_num
                 try:
                     row = list(map(float, cells))
                 except ValueError as exc:
@@ -132,10 +134,11 @@ def factors_from_document(doc) -> gsvd.GsvdFactors:
     as a boolean; DimensionMismatch (exit 3) unless U, V, H and the value
     lists have the shapes those dimensions and ranks give, V has room for
     rb sine columns, and the ranks agree with the values: `ra` counts the
-    positive c_i that U has a column for (a positive c_i past U's last
+    nonzero c_i that U has a column for (a positive c_i past U's last
     column is a misplaced entry, which `verify` reports), and `rb` the
-    positive s_i.  The sine block starts where `convention` puts it: at V's
-    right end for a full-format bottom layout, else at its first column.
+    nonzero s_i, the factors' r_b.  The sine block starts where
+    `convention` puts it: at V's right end for a full-format bottom layout,
+    else at its first column.
     The document's own `v_col_of` is checked for its type and shape only;
     `verify` compares it with the factors'.
     """
@@ -163,15 +166,12 @@ def factors_from_document(doc) -> gsvd.GsvdFactors:
     if rb > fields["v"].shape[1]:
         raise DimensionMismatch(f"rb = {rb} exceeds V's {fields['v'].shape[1]} columns")
     bottom = convention == "bottom" and not compact
-    f = gsvd.GsvdFactors(
-        **fields, r=r, r_a=ra, r_b=rb, m1=m1, m2=m2, n=n,
-        v_start=m2 - rb if bottom else 0, compact=compact,
-    )
-    counts = (np.count_nonzero(f.c[: f.u.shape[1]] > 0), np.count_nonzero(f.s > 0))
+    f = gsvd.GsvdFactors(**fields, v_start=m2 - rb if bottom else 0, compact=compact)
+    counts = (np.count_nonzero(f.c[: f.u.shape[1]]), f.r_b)
     if counts != (ra, rb):
         raise DimensionMismatch(
-            f"ra = {ra} and rb = {rb}, but the document has {counts[0]} positive "
-            f"cosines and {counts[1]} positive sines"
+            f"ra = {ra} and rb = {rb}, but the document has {counts[0]} nonzero "
+            f"cosines and {counts[1]} nonzero sines"
         )
     return f
 

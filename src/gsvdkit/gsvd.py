@@ -60,6 +60,11 @@ class GsvdFactors:
     `v_start`.  In compact format u is m1 x r_a and v is m2 x r_b
     (left-nullspace columns dropped).
 
+    Only the arrays, `v_start` and `compact` are stored.  The counts are
+    read off the arrays, so they cannot disagree with them: r is the length
+    of c, r_a and r_b the counts of nonzero c_i and s_i, and m1, m2, n the
+    row counts of U and V and the column count of H.
+
     Ties among equal c_i keep the order delivered by the underlying SVD;
     the corresponding U/V blocks are only determined up to rotation within
     the tied subspace, though every derived quantity here is invariant.
@@ -70,14 +75,32 @@ class GsvdFactors:
     c: np.ndarray
     s: np.ndarray
     h: np.ndarray
-    r: int
-    r_a: int
-    r_b: int
-    m1: int
-    m2: int
-    n: int
     v_start: int
     compact: bool = False
+
+    @property
+    def r(self) -> int:
+        return self.c.size
+
+    @property
+    def r_a(self) -> int:
+        return int(np.count_nonzero(self.c))
+
+    @property
+    def r_b(self) -> int:
+        return int(np.count_nonzero(self.s))
+
+    @property
+    def m1(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def m2(self) -> int:
+        return self.v.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.h.shape[1]
 
     @property
     def v_col_of(self) -> np.ndarray:
@@ -222,8 +245,7 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
         raise DimensionMismatch(
             f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
         )
-    m1, n = a.shape
-    m2 = b.shape[0]
+    m1, m2 = a.shape[0], b.shape[0]
     stacked = np.vstack([a, b])
     (r, r_a, r_b), sv_a = _ranks(a, b, stacked, tol)
 
@@ -267,11 +289,7 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
 
-    return GsvdFactors(
-        u=u, v=v, c=c, s=s, h=h,
-        r=r, r_a=r_a, r_b=r_b, m1=m1, m2=m2, n=n,
-        v_start=skip, compact=compact,
-    ), sv_a
+    return GsvdFactors(u=u, v=v, c=c, s=s, h=h, v_start=skip, compact=compact), sv_a
 
 
 def _ranks(a: np.ndarray, b: np.ndarray, stacked: np.ndarray, tol: Tolerance):

@@ -47,6 +47,9 @@ class JacobiParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        for name, val in (("m1", self.m1), ("m2", self.m2), ("n", self.n)):
+            if not isinstance(val, (int, np.integer)):
+                raise InvalidDimensions(f"{name} must be an integer, got {val!r}")
         if self.n < 1:
             raise InvalidDimensions("n must be positive")
         if self.m1 < self.n or self.m2 < self.n:
@@ -79,6 +82,11 @@ class SeededRng:
     """
 
     seed: int
+
+    def __post_init__(self):
+        # Philox takes a 128-bit key
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
+            raise DomainError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed))
@@ -181,6 +189,8 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
     n the mean of the eigenvalue sum is reported with its standard error,
     plus a split-half self-consistency gap in standard-error units.
     """
+    if not isinstance(n_samples, (int, np.integer)):
+        raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples for a meaningful check")
     gen = rng.generator()

@@ -78,9 +78,10 @@ class Tolerance:
         return max(rel * float(sigma_max), self.abs)
 
 
-def _rank_of(sv: np.ndarray, shape, tol: Tolerance) -> int:
-    # Count of descending singular values sv above the cutoff; 0 when all vanish.
-    return int(np.count_nonzero(sv > tol.cutoff(shape, sv[0])))
+def _rank_of(sv: np.ndarray, shape) -> int:
+    # Count of descending singular values sv above the default cutoff of a
+    # matrix of this shape; 0 when all vanish.
+    return int(np.count_nonzero(sv > Tolerance().cutoff(shape, sv[0])))
 
 
 def _pinned(shape) -> Tolerance:
@@ -95,10 +96,10 @@ def _svdvals(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)
 
 
-def numerical_rank(m, tol: Tolerance = Tolerance()) -> int:
-    """Count singular values above the tolerance cutoff; 0 for the zero matrix."""
+def numerical_rank(m) -> int:
+    """Count singular values above the default `Tolerance` cutoff; 0 for the zero matrix."""
     m = as_matrix(m)
-    return _rank_of(_svdvals(m), m.shape, tol)
+    return _rank_of(_svdvals(m), m.shape)
 
 
 def _leading_signs(x: np.ndarray) -> np.ndarray:
@@ -177,11 +178,11 @@ def full_svd(m):
     return _svd(as_matrix(m), complete_u=True, complete_v=True)
 
 
-def pinv(m, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared rank tolerance."""
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, cut at the default `Tolerance` rank."""
     m = as_matrix(m)
     u, sigma, v = _svd(m)
-    return _svd_pinv(u, sigma, v, _rank_of(sigma, m.shape, tol))
+    return _svd_pinv(u, sigma, v, _rank_of(sigma, m.shape))
 
 
 def _svd_pinv(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -189,15 +190,16 @@ def _svd_pinv(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, k: int) -> np.nda
     return (v[:, :k] * (1.0 / sigma[:k])) @ u[:, :k].T
 
 
-def orth_basis(m, tol: Tolerance = Tolerance()) -> np.ndarray:
+def orth_basis(m) -> np.ndarray:
     """Orthonormal basis (columns) for the column space of m.
 
     The leading left singular vectors of the thin SVD, oriented as in
-    `full_svd`; no completion is formed.
+    `full_svd` and cut at the default `Tolerance` rank; no completion is
+    formed.
     """
     m = as_matrix(m)
     u, sigma, _ = _svd(m)
-    return u[:, : _rank_of(sigma, m.shape, tol)]
+    return u[:, : _rank_of(sigma, m.shape)]
 
 
 def complete_basis(q) -> np.ndarray:

@@ -218,7 +218,7 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
         v=np.hstack([rest, sine]),
         c=np.where(zero_s, np.cos(epsilon), f.c),
         s=np.where(zero_s, np.sin(epsilon), f.s),
-        r_b=f.r, v_start=f.m2 - f.r,
+        v_start=f.m2 - f.r,
     ).reconstruct()
     a_eps, b_eps = stacked[: f.m1], stacked[f.m1:]
     return LimitCurve(epsilon=epsilon, a_eps=a_eps, b_eps=b_eps)

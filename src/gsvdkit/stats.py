@@ -14,7 +14,6 @@ from . import gsvd, matcore
 from .errors import (
     DegenerateData,
     DimensionMismatch,
-    DomainError,
     InvalidPartition,
     ZeroWithin,
 )
@@ -148,24 +147,19 @@ def anova_f(design: ClusterDesign, v) -> AnovaReport:
     )
 
 
-# apportion's default band edges: three equal bands of [0, pi/2]
+# apportion's band edges: pi/8 wide at either end, pi/4 in the middle
 THETA_LO, THETA_HI = np.pi / 8, 3 * np.pi / 8
 
 
-def apportion(
-    f: GsvdFactors,
-    theta_lo: float = THETA_LO,
-    theta_hi: float = THETA_HI,
-) -> Apportionment:
+def apportion(f: GsvdFactors) -> Apportionment:
     """Classify each row of H by its angle theta_i = atan2(s_i, c_i).
 
     Rows are already ordered from most-A to most-B (cosines descending).
-    The default thresholds cut [0, pi/2] into three equal bands.  The
-    2-norm condition number of H is surfaced since a badly conditioned H
-    makes the per-row attribution shaky.
+    The bands are fixed: theta < pi/8 is A-dominant, theta > 3 pi/8 is
+    B-dominant, and the rest is mixed.  The 2-norm condition number of H
+    is surfaced since a badly conditioned H makes the per-row attribution
+    shaky.
     """
-    if not 0 <= theta_lo <= theta_hi <= np.pi / 2:
-        raise DomainError("need 0 <= theta_lo <= theta_hi <= pi/2")
     angles = f.theta()
     if f.r:
         sv = matcore._svdvals(f.h)
@@ -176,16 +170,16 @@ def apportion(
         cond = 1.0
         unit = f.h.copy()
     return Apportionment(
-        angles=angles, labels=_band_labels(angles, theta_lo, theta_hi),
+        angles=angles, labels=_band_labels(angles),
         h_rows=f.h.copy(), h_rows_unit=unit,
         h_condition=cond,
     )
 
 
-def _band_labels(angles, theta_lo: float = THETA_LO, theta_hi: float = THETA_HI) -> tuple:
+def _band_labels(angles) -> tuple:
     # apportion's row labels, read from the angles alone
     return tuple(
-        "A-dominant" if t < theta_lo else ("B-dominant" if t > theta_hi else "mixed")
+        "A-dominant" if t < THETA_LO else ("B-dominant" if t > THETA_HI else "mixed")
         for t in angles
     )
 

@@ -163,6 +163,8 @@ class TestGsvdCommand:
         ("inf,2\n3,4\n", 1),
         # a non-finite line is reported before a later ragged one
         ("1,2\n3,-inf\n5\n", 2),
+        # a quoted cell spanning two lines: locations stay file lines
+        ('"1\n",2\n3,4\nnan,5\n', 4),
     ])
     def test_non_finite_cell_exit_2_names_line(self, tmp_path, capsys, text, line):
         a = write_csv(tmp_path / "a.csv", [[1, 2]])
@@ -362,7 +364,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("key, value", [("ra", 3), ("ra", 0), ("rb", 2)])
     def test_ranks_contradicting_the_values_exit_3(self, tmp_path, key, value, capsys):
         # full format: U and V are square whatever ra and rb say, so only
-        # the counts of positive cosines and sines can give them away
+        # the counts of nonzero cosines and sines can give them away
         rng = np.random.default_rng(0)
         a = write_csv(tmp_path / "a.csv", rng.standard_normal((5, 4)).tolist())
         b = write_csv(tmp_path / "b.csv", rng.standard_normal((3, 4)).tolist())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gsvdkit import gsvd, jacobi, matcore, quotient, stats, subgeom
+from gsvdkit import gsvd, jacobi, matcore, quotient, subgeom
 from gsvdkit.errors import DimensionMismatch, DomainError, InvalidDimensions, NotOrthonormal
 
 
@@ -33,6 +33,17 @@ CASES = [
     ("jacobi samples", lambda: jacobi.empirical_check(
         jacobi.JacobiParams(m1=3, m2=3, n=1), 10, jacobi.SeededRng(seed=0)),
      DomainError, "need at least 1000 samples for a meaningful check"),
+    ("jacobi fractional n", lambda: jacobi.JacobiParams(5, 5, 2.5),
+     InvalidDimensions, "n must be an integer, got 2.5"),
+    ("jacobi fractional samples", lambda: jacobi.empirical_check(
+        jacobi.JacobiParams(m1=3, m2=3, n=1), 1000.5, jacobi.SeededRng(seed=0)),
+     DomainError, "n_samples must be an integer, got 1000.5"),
+    ("jacobi fractional seed", lambda: jacobi.SeededRng(1.5),
+     DomainError, "seed must be an integer in [0, 2**128), got 1.5"),
+    ("jacobi negative seed", lambda: jacobi.SeededRng(-1),
+     DomainError, "seed must be an integer in [0, 2**128), got -1"),
+    ("jacobi seed past 128 bits", lambda: jacobi.SeededRng(2**128),
+     DomainError, f"seed must be an integer in [0, 2**128), got {2**128}"),
     ("limit_curve epsilon", lambda: quotient.limit_curve(_full(), 1.0),
      DomainError, "epsilon must lie in (0, pi/4), got 1.0"),
     ("limit_curve compact", lambda: quotient.limit_curve(gsvd.compact(_full()), 1e-2),
@@ -40,8 +51,6 @@ CASES = [
     ("fundamental_subspaces compact", lambda: gsvd.fundamental_subspaces(
         gsvd.compact(_full()), np.diag([3.0, 4.0]), np.array([[1.0, 1.0], [0.0, 0.0]])),
      DimensionMismatch, "fundamental_subspaces needs full-format factors"),
-    ("apportion bands", lambda: stats.apportion(_full(), theta_lo=1.0, theta_hi=0.5),
-     DomainError, "need 0 <= theta_lo <= theta_hi <= pi/2"),
     ("energy_point unit", lambda: subgeom.energy_point(np.eye(2), [1.0, 1.0]),
      NotOrthonormal, "e must be a unit vector"),
 ]

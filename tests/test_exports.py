@@ -21,6 +21,17 @@ def test_every_exported_name_resolves(name):
     assert [x for x in exported if not hasattr(module, x)] == []
 
 
+def test_package_exports_each_module_all():
+    # "errors", then every public name of the seven modules, each bound to
+    # the defining module's own object
+    modules = [importlib.import_module(f"gsvdkit.{name}") for name in
+               ("matcore", "gsvd", "quotient", "tikhonov", "subgeom", "stats", "jacobi")]
+    assert gsvdkit.__all__[0] == "errors"
+    assert sorted(gsvdkit.__all__[1:]) == sorted(x for m in modules for x in m.__all__)
+    for m in modules:
+        assert [x for x in m.__all__ if getattr(gsvdkit, x) is not getattr(m, x)] == []
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a cold `import gsvdkit, gsvdkit.cli`; the
     # package reaches the Beta CDF through scipy.special instead

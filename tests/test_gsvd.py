@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -192,6 +194,24 @@ class TestQrSvdRankDisagreement:
         # structured approximation bounded by what was thrown away
         dropped = np.sqrt(np.sum(sv[svd_rank:] ** 2))
         assert np.linalg.norm(f.reconstruct() - stacked) <= dropped + 2 * cut
+
+
+class TestStoredFields:
+    def test_only_what_the_arrays_cannot_give_is_stored(self):
+        names = [fld.name for fld in dataclasses.fields(gsvd.GsvdFactors)]
+        assert names == ["u", "v", "c", "s", "h", "v_start", "compact"]
+
+    def test_counts_follow_replaced_values(self, rng):
+        # every s_i made positive, as limit_curve does: r_b is then r,
+        # and the shapes are still those of U, V and H
+        a, b = random_pair(rng, 5, 6, 4, rank_b=2)
+        f = gsvd.gsvd_decompose(a, b)
+        assert (f.r, f.r_a, f.r_b) == (4, 4, 2)
+        zero_s = f.s == 0
+        g = dataclasses.replace(f, c=np.where(zero_s, np.cos(1e-3), f.c),
+                                s=np.where(zero_s, np.sin(1e-3), f.s), v_start=f.m2 - f.r)
+        assert (g.r, g.r_a, g.r_b) == (4, 4, 4)
+        assert (g.m1, g.m2, g.n) == (5, 6, 4)
 
 
 class TestStructureCounts:

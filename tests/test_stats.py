@@ -132,11 +132,6 @@ class TestApportion:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert np.isfinite(app.h_condition)
 
-    def test_threshold_validation(self):
-        f = gsvd.gsvd_decompose(np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            stats.apportion(f, theta_lo=1.0, theta_hi=0.5)
-
 
 class TestDiscriminantReduce:
     def test_two_clusters_single_column(self, rng):
