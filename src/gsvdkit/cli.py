@@ -317,7 +317,7 @@ def _factor_deviations(f: gsvd.GsvdFactors, doc: dict, a: np.ndarray, b: np.ndar
     yield "c, s order and range", np.max(np.concatenate([
         np.diff(f.c), -np.diff(f.s), -f.c, f.c - 1.0, -f.s, f.s - 1.0]), initial=0.0)
     yield "misplaced c and v_col_of entries", float(misplaced)
-    ranks = gsvd._ranks(a, b, stacked, tol)[0]
+    ranks = gsvd._ranks(a, b, stacked, tol)
     yield "ranks (r, ra, rb) differing from the inputs'", float(
         sum(x != y for x, y in zip(ranks, (f.r, f.r_a, f.r_b))))
     yield "derived keys differing from the factors'", float(

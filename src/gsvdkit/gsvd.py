@@ -24,6 +24,8 @@ from `v_start`, at V's right end in the bottom-aligned convention
 from __future__ import annotations
 
 import dataclasses
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +210,16 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     Householder QR of the normalized columns, whose blocked reflectors,
     applied to a column-rotated identity, give the orthogonal complement
     followed by the columns themselves; H = W' R moved back to the
-    original column order.
+    original column order.  A large pair (m n min(m, n) >= 10^7 for the
+    m x n stacked matrix) starts one helper thread for the call: it takes
+    the pivoted QR and then the singular values of a and b, while the
+    caller's thread takes those of the stacked pair and the SVD of Qa.
+    LAPACK runs without the interpreter lock and every call gets the
+    input it gets on one thread, so the factors are the same bit for bit;
+    with multi-threaded BLAS the two threads share its cores.  The thread
+    is joined before the call returns or raises; where none can be
+    started, as in an atexit handler from Python 3.12, the caller's
+    thread does all the work.
 
     The QR is cut at the SVD rank even where its own diagonal would say
     otherwise, so there is no second route.  H = W' R[:r] has full row
@@ -247,12 +258,36 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
         )
     m1, m2 = a.shape[0], b.shape[0]
     stacked = np.vstack([a, b])
-    (r, r_a, r_b), sv_a = _ranks(a, b, stacked, tol)
+    # views of the stacked copy, so the validated copies are freed
+    a, b = stacked[:m1], stacked[m1:]
 
-    q, rmat, perm = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
-    qa, qb = q[:m1, :r], q[m1:, :r]
+    # The helper takes the pivoted QR while this thread reads r off the
+    # stacked singular values, then the singular values of a and b while
+    # this thread takes the SVD of Qa; r_a and r_b are first needed after
+    # it.  Without a helper thread its work runs here once r is known.
+    outcomes = queue.SimpleQueue()
 
-    u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
+    def helper():
+        for stage in (lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True),
+                      lambda: (matcore._svdvals(a), matcore._svdvals(b))):
+            outcomes.put(_outcome(stage))
+
+    thread = _start_beside(helper, stacked.shape)
+    try:
+        sv_st = matcore._svdvals(stacked)
+        cut = _rank_cutoff(sv_st, stacked.shape, tol)
+        r = _count_above(sv_st, cut)
+        if thread is None:
+            helper()
+        q, rmat, perm = _result(outcomes)
+        qa, qb = q[:m1, :r], q[m1:, :r]
+        u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
+        sv_a, sv_b = _result(outcomes)
+    finally:
+        if thread is not None:
+            thread.join()
+    r_a, r_b = _count_above(sv_a, cut), _count_above(sv_b, cut)
+
     if compact:
         u = u[:, :r_a]
     c = np.zeros(r)
@@ -292,18 +327,71 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     return GsvdFactors(u=u, v=v, c=c, s=s, h=h, v_start=skip, compact=compact), sv_a
 
 
+# An m x n stacked pair with m * n * min(m, n) below this, the order of
+# the flops of its QR and of each singular-value pass, decomposes on the
+# caller's thread alone.  Starting the helper costs 0.5-1 ms.  With one
+# BLAS thread the overlapped route took 1.5 to 2.8 times the serial time
+# up to 60/40 x 50 (2.5e5) and 0.8 to 1.1 times it, with no steady gain,
+# from 5e5 to 9e6; from 1.5e7 up it took 0.7 to 0.9 times it with the
+# second core idle, and 0.9 to 1.0 times it with that core busy.
+_HELPER_MIN_WORK = 10**7
+
+
+def _start_beside(fn, shape):
+    # fn started on a new thread, and that thread; None, with fn not run,
+    # below the size cut for a stacked matrix of this shape or where no
+    # thread can be started (from an atexit handler, or past the process's
+    # thread limit).  The thread is made per call, never kept at module
+    # level: a kept thread does not survive a fork, and a forked child's
+    # decomposition would wait on it forever.
+    m, n = shape
+    if m * n * min(m, n) < _HELPER_MIN_WORK:
+        return None
+    thread = threading.Thread(target=fn, name="gsvd-helper")
+    try:
+        thread.start()
+    except RuntimeError:
+        return None
+    return thread
+
+
+def _outcome(fn):
+    # (fn's result, None), or (None, whatever fn raised): `_result` raises
+    # it again on the caller's thread, and a helper that let it escape
+    # would leave the caller waiting forever.
+    try:
+        return fn(), None
+    except BaseException as exc:
+        return None, exc
+
+
+def _result(outcomes: queue.SimpleQueue):
+    # The next outcome's result, waiting for it; its error is raised here.
+    value, error = outcomes.get()
+    if error is not None:
+        raise error
+    return value
+
+
+def _rank_cutoff(sv_stacked: np.ndarray, shape, tol: Tolerance) -> float:
+    # The one cutoff that serves all three rank decisions, anchored at the
+    # scale of the stacked pair of this shape with singular values
+    # sv_stacked: a block that is pure roundoff relative to the other is
+    # rank zero here even though it is "full rank" at its own scale.
+    return tol.cutoff(shape, sv_stacked[0])
+
+
+def _count_above(sv: np.ndarray, cut: float) -> int:
+    return int(np.count_nonzero(sv > cut))
+
+
 def _ranks(a: np.ndarray, b: np.ndarray, stacked: np.ndarray, tol: Tolerance):
-    # ((r, r_a, r_b), singular values of a) for the pair and its stacked
-    # matrix [a; b].  One cutoff serves all three rank decisions, anchored
-    # at the scale of the stacked pair: a block that is pure roundoff
-    # relative to the other is rank zero here even though it is "full
-    # rank" at its own scale.
+    # (r, r_a, r_b) for the pair and its stacked matrix [a; b], decided as
+    # `gsvd_decompose` decides them.
     sv_st = matcore._svdvals(stacked)
-    cut = tol.cutoff(stacked.shape, sv_st[0])
-    sv_a = matcore._svdvals(a)
-    ranks = tuple(int(np.count_nonzero(sv > cut))
-                  for sv in (sv_st, sv_a, matcore._svdvals(b)))
-    return ranks, sv_a
+    cut = _rank_cutoff(sv_st, stacked.shape, tol)
+    return tuple(_count_above(sv, cut)
+                 for sv in (sv_st, matcore._svdvals(a), matcore._svdvals(b)))
 
 
 def structure_counts(f: GsvdFactors) -> CsStructure:
@@ -415,7 +503,7 @@ def rank_reduce(f: GsvdFactors, a, b, k: int):
     H^+ I_{r,k} I_{r,k}' H.  k = r rebuilds the pair and k = 0 gives zeros.
     """
     _check_pair(f, a, b)
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= f.r:
+    if not matcore._is_integer(k) or not 0 <= k <= f.r:
         raise RankOutOfRange(f"k must be an integer in [0, {f.r}], got {k!r}")
     approx = f.stacked_unit_basis()[:, :k] @ f.h[:k, :]
     return approx[: f.m1], approx[f.m1:]
@@ -453,7 +541,7 @@ def parameter_count(m1: int, m2: int, n: int, r: int) -> dict:
     and min(m2, r).  `regime` names where r falls relative to m1 and m2.
     """
     for name, val in (("m1", m1), ("m2", m2), ("n", n), ("r", r)):
-        if not isinstance(val, (int, np.integer)) or (val < 1 and name != "r"):
+        if not matcore._is_integer(val) or (val < 1 and name != "r"):
             raise InvalidDimensions(f"{name} must be a positive integer, got {val!r}")
     if not 0 < r <= min(m1 + m2, n):
         raise InvalidDimensions(

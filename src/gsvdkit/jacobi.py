@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from .errors import DomainError, InvalidDimensions, UnsupportedBeta
+from .matcore import _is_integer
 
 __all__ = [
     "JacobiParams",
@@ -48,7 +49,7 @@ class JacobiParams:
 
     def __post_init__(self):
         for name, val in (("m1", self.m1), ("m2", self.m2), ("n", self.n)):
-            if not isinstance(val, (int, np.integer)):
+            if not _is_integer(val):
                 raise InvalidDimensions(f"{name} must be an integer, got {val!r}")
         if self.n < 1:
             raise InvalidDimensions("n must be positive")
@@ -85,7 +86,7 @@ class SeededRng:
 
     def __post_init__(self):
         # Philox takes a 128-bit key
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**128):
             raise DomainError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
     def generator(self) -> np.random.Generator:
@@ -189,7 +190,7 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
     n the mean of the eigenvalue sum is reported with its standard error,
     plus a split-half self-consistency gap in standard-error units.
     """
-    if not isinstance(n_samples, (int, np.integer)):
+    if not _is_integer(n_samples):
         raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples for a meaningful check")

@@ -56,6 +56,12 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
+def _is_integer(x) -> bool:
+    # An int or NumPy integer, and not a bool: bool subclasses int, but a
+    # boolean count or seed is a caller's mistake.
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Threshold for rank decisions: keep sigma with sigma > max(rel * sigma_max, abs).

@@ -227,7 +227,7 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
 def augment_rows(b, r: int) -> np.ndarray:
     """Zero-pad B to r rows; gsvd values, U, C, and H are unaffected."""
     b = as_matrix(b)
-    if not isinstance(r, (int, np.integer)):
+    if not matcore._is_integer(r):
         raise InvalidDimensions(f"r must be an integer, got {r!r}")
     if r <= b.shape[0]:
         raise NoAugmentationNeeded(f"B already has {b.shape[0]} >= {r} rows")

@@ -44,6 +44,13 @@ CASES = [
      DomainError, "seed must be an integer in [0, 2**128), got -1"),
     ("jacobi seed past 128 bits", lambda: jacobi.SeededRng(2**128),
      DomainError, f"seed must be an integer in [0, 2**128), got {2**128}"),
+    ("jacobi boolean m1", lambda: jacobi.JacobiParams(True, 5, 1),
+     InvalidDimensions, "m1 must be an integer, got True"),
+    ("jacobi boolean samples", lambda: jacobi.empirical_check(
+        jacobi.JacobiParams(m1=3, m2=3, n=1), True, jacobi.SeededRng(seed=0)),
+     DomainError, "n_samples must be an integer, got True"),
+    ("jacobi boolean seed", lambda: jacobi.SeededRng(True),
+     DomainError, "seed must be an integer in [0, 2**128), got True"),
     ("limit_curve epsilon", lambda: quotient.limit_curve(_full(), 1.0),
      DomainError, "epsilon must lie in (0, pi/4), got 1.0"),
     ("limit_curve compact", lambda: quotient.limit_curve(gsvd.compact(_full()), 1e-2),

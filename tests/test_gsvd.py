@@ -1,10 +1,15 @@
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gsvdkit import gsvd, matcore
+from gsvdkit import cli, gsvd, matcore
 from gsvdkit.errors import DimensionMismatch, InvalidDimensions, RankOutOfRange
 from gsvdkit.matcore import Tolerance
 
@@ -498,7 +503,7 @@ class TestRankReduce:
         with pytest.raises(RankOutOfRange):
             gsvd.rank_reduce(f, a, b, -1)
 
-    @pytest.mark.parametrize("k", [1.5, 1.0, "1"])
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", True])
     def test_non_integer_k_raises(self, rng, k):
         # slicing with 1.5 raised a bare TypeError
         a, b = random_pair(rng, 3, 3, 2)
@@ -670,7 +675,7 @@ class TestParameterCountClosedForm:
         assert gsvd.parameter_count(2, 5, 9, 6)["regime"] == "max(m1, m2) <= r"
 
     @pytest.mark.parametrize("dims", [(0, 2, 2, 1), (2, -1, 2, 1), (2, 2, 0, 1),
-                                      (2.0, 2, 2, 1)])
+                                      (2.0, 2, 2, 1), (2, 2, 2, True)])
     def test_rejects_a_nonpositive_or_noninteger_dimension(self, dims):
         with pytest.raises(InvalidDimensions):
             gsvd.parameter_count(*dims)
@@ -681,3 +686,101 @@ class TestFormatChecks:
         a, b = random_pair(rng, 4, 3, 3)
         with pytest.raises(ValueError, match="full-format"):
             gsvd.fundamental_subspaces(gsvd.gsvd_decompose(a, b, compact=True), a, b)
+
+
+def _above_the_cut(rng, m1, m2, n):
+    # A Gaussian pair whose decomposition starts the helper thread.
+    m = m1 + m2
+    assert m * n * min(m, n) >= gsvd._HELPER_MIN_WORK
+    return rng.standard_normal((m1, n)), rng.standard_normal((m2, n))
+
+
+def _same_bits(f, g):
+    return all(getattr(f, k).tobytes() == getattr(g, k).tobytes() for k in "uvcsh") and (
+        (f.v_start, f.compact) == (g.v_start, g.compact))
+
+
+class TestHelperThread:
+    # Python 3.12 warns on a fork while BLAS worker threads are alive,
+    # which they are when the BLAS thread count is not pinned to 1.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_decomposes_after_the_parent(self, rng):
+        # A helper shared across calls would not survive the fork, and the
+        # child's decomposition would wait on it forever.
+        a, b = _above_the_cut(rng, 150, 100, 200)
+        gsvd.gsvd_decompose(a, b)
+        child = multiprocessing.get_context("fork").Process(target=gsvd.gsvd_decompose,
+                                                             args=(a, b))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+    def test_helper_error_is_raised_on_the_caller(self, rng, monkeypatch):
+        a, b = _above_the_cut(rng, 150, 100, 200)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR failed")
+
+        monkeypatch.setattr(scipy.linalg, "qr", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="QR failed"):
+            gsvd.gsvd_decompose(a, b)
+        assert "gsvd-helper" not in [t.name for t in threading.enumerate()]
+
+    def test_no_thread_to_start_runs_on_the_caller(self, rng, monkeypatch):
+        # Thread.start raises RuntimeError past the process's thread limit
+        # and, from Python 3.12, in atexit handlers.
+        a, b = _above_the_cut(rng, 150, 100, 200)
+        want = gsvd.gsvd_decompose(a, b)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert _same_bits(gsvd.gsvd_decompose(a, b), want)
+
+    def test_decomposes_in_an_atexit_handler(self):
+        code = ("import atexit, numpy as np; from gsvdkit import gsvd; "
+                "rng = np.random.default_rng(0); "
+                "a, b = rng.standard_normal((150, 200)), rng.standard_normal((100, 200)); "
+                "atexit.register(lambda: print(gsvd.gsvd_decompose(a, b).r))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "200\n", "")
+
+    def test_concurrent_callers_get_the_serial_factors(self, rng, tmp_path):
+        # Four callers on two or fewer cores, each decomposition starting
+        # its own helper, with thread switches forced often.
+        pairs = [_above_the_cut(rng, 150 + 10 * i, 100, 200) for i in range(4)]
+        serial = [gsvd.gsvd_decompose(a, b, compact=i % 2 == 1) for i, (a, b) in enumerate(pairs)]
+        paths = [[str(tmp_path / f"{name}{i}.{ext}") for name, ext in
+                  (("a", "csv"), ("b", "csv"), ("factors", "json"))] for i in range(4)]
+        for (a, b), (pa, pb, _) in zip(pairs, paths):
+            cli.write_matrix(pa, a)
+            cli.write_matrix(pb, b)
+        got = [None] * 4
+        start = threading.Barrier(4)
+
+        def caller(i):
+            start.wait(timeout=60)
+            got[i] = gsvd.gsvd_decompose(*pairs[i], compact=i % 2 == 1)
+            cli._write_json(paths[i][2], cli.factors_to_document(got[i], Tolerance(), "bottom"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for f, g, (pa, pb, out) in zip(serial, got, paths):
+            assert _same_bits(f, g)
+            assert cli.main(["verify", pa, pb, out]) == 0

@@ -370,7 +370,7 @@ class TestAugmentRows:
         with pytest.raises(NoAugmentationNeeded):
             quotient.augment_rows(ROW11, 1)
 
-    @pytest.mark.parametrize("r", [2.5, 2.0])
+    @pytest.mark.parametrize("r", [2.5, 2.0, True])
     def test_non_integer_row_count_raises(self, r):
         # np.zeros with 2.5 rows raised a bare TypeError
         with pytest.raises(InvalidDimensions):
