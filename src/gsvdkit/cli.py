@@ -232,17 +232,18 @@ def cmd_gsvd(args) -> int:
     f = gsvd.gsvd_decompose(a, b, tol, compact=args.compact)
     if args.convention == "top":
         f = gsvd.with_top_convention(f)
-    doc = factors_to_document(f, tol, args.convention)
+    # The document, with U, V and H as lists, is built only to be written.
+    derived = _derived_keys(f)
     print(f"m1={f.m1} m2={f.m2} n={f.n}  r={f.r} ra={f.r_a} rb={f.r_b}")
-    c = doc["structure"]
+    c = derived["structure"]
     print(
         f"structure: infinite={c['n_infinite']} finite={c['n_finite']} "
         f"zero={c['n_zero']} (zero rows C={c['zero_rows_c']}, S={c['zero_rows_s']})"
     )
-    print(f"generalized values: {_fmt_values(doc['generalized_values'])}")
-    print(f"angles: {_fmt_values(doc['angles'])}")
+    print(f"generalized values: {_fmt_values(derived['generalized_values'])}")
+    print(f"angles: {_fmt_values(derived['angles'])}")
     if args.json:
-        _write_json(args.json, doc)
+        _write_json(args.json, factors_to_document(f, tol, args.convention))
     if args.csv_prefix:
         write_matrix(args.csv_prefix + "_U.csv", f.u)
         write_matrix(args.csv_prefix + "_V.csv", f.v)
@@ -334,18 +335,15 @@ def cmd_tikhonov(args) -> int:
     problem = tikhonov.TikhonovProblem(a, l, b)
     path = tikhonov.solve_path(problem, lambdas)
     print(f"{'lambda':>12} {'||x||':>18}")
-    doc_rows = []
-    for lam, x, damp in path:
-        x_norm = float(np.linalg.norm(x))
-        print(f"{lam:>12g} {x_norm:>18.12g}")
-        doc_rows.append({
+    for lam, x, _ in path:
+        print(f"{lam:>12g} {float(np.linalg.norm(x)):>18.12g}")
+    if args.json:
+        _write_json(args.json, {"solutions": [{
             "lambda": lam,
             "x": x.tolist(),
             "damping": damp.tolist(),
-            "x_norm": x_norm,
-        })
-    if args.json:
-        _write_json(args.json, {"solutions": doc_rows})
+            "x_norm": float(np.linalg.norm(x)),
+        } for lam, x, damp in path]})
     return 0
 
 
@@ -364,21 +362,21 @@ def cmd_ellipse(args) -> int:
     b = read_matrix(args.b, args.header)
     f = gsvd.gsvd_decompose(a, b, Tolerance(rel=args.tol))
     data = subgeom.ellipse_data(f)
-    doc = {
-        "cosine_lengths": data.cosine_lengths.tolist(),
-        "cosine_directions": data.cosine_directions.tolist(),
-        "sine_lengths": data.sine_lengths.tolist(),
-        "sine_directions": data.sine_directions.tolist(),
-        "sphere_points": data.sphere_points.tolist(),
-        "angles": data.angles.tolist(),
-        "cosine_boundary": _ellipse_boundary(data.cosine_lengths, data.cosine_directions),
-        "sine_boundary": _ellipse_boundary(data.sine_lengths[::-1], data.sine_directions[:, ::-1]),
-    }
-    print(f"cosine semi-axis lengths: {_fmt_values(doc['cosine_lengths'])}")
-    print(f"sine semi-axis lengths:   {_fmt_values(doc['sine_lengths'])}")
-    print(f"angles: {_fmt_values(doc['angles'])}")
+    print(f"cosine semi-axis lengths: {_fmt_values(data.cosine_lengths.tolist())}")
+    print(f"sine semi-axis lengths:   {_fmt_values(data.sine_lengths.tolist())}")
+    print(f"angles: {_fmt_values(data.angles.tolist())}")
     if args.json:
-        _write_json(args.json, doc)
+        _write_json(args.json, {
+            "cosine_lengths": data.cosine_lengths.tolist(),
+            "cosine_directions": data.cosine_directions.tolist(),
+            "sine_lengths": data.sine_lengths.tolist(),
+            "sine_directions": data.sine_directions.tolist(),
+            "sphere_points": data.sphere_points.tolist(),
+            "angles": data.angles.tolist(),
+            "cosine_boundary": _ellipse_boundary(data.cosine_lengths, data.cosine_directions),
+            "sine_boundary": _ellipse_boundary(data.sine_lengths[::-1],
+                                               data.sine_directions[:, ::-1]),
+        })
     return 0
 
 

@@ -24,8 +24,8 @@ from `v_start`, at V's right end in the bottom-aligned convention
 from __future__ import annotations
 
 import dataclasses
-import queue
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,16 +210,20 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     Householder QR of the normalized columns, whose blocked reflectors,
     applied to a column-rotated identity, give the orthogonal complement
     followed by the columns themselves; H = W' R moved back to the
-    original column order.  A large pair (m n min(m, n) >= 10^7 for the
-    m x n stacked matrix) starts one helper thread for the call: it takes
-    the pivoted QR and then the singular values of a and b, while the
-    caller's thread takes those of the stacked pair and the SVD of Qa.
-    LAPACK runs without the interpreter lock and every call gets the
-    input it gets on one thread, so the factors are the same bit for bit;
-    with multi-threaded BLAS the two threads share its cores.  The thread
-    is joined before the call returns or raises; where none can be
-    started, as in an atexit handler from Python 3.12, the caller's
-    thread does all the work.
+    original column order.
+
+    A large pair (m n min(m, n) >= 10^7 for the m x n stacked matrix)
+    starts one helper thread for the call: it takes the pivoted QR and
+    then the singular values of a and b, while the caller's thread takes
+    those of the stacked pair and the SVD of Qa.  LAPACK runs without the
+    interpreter lock and every call gets the input it gets on one thread,
+    so the factors are the same bit for bit; with multi-threaded BLAS the
+    two threads share its cores.  An error on the helper is raised on the
+    caller's thread.  The thread is joined before the call returns or
+    raises, so nothing is left running and a process may fork after it
+    has decomposed.  Smaller pairs, and calls where no thread can be
+    started (as in an atexit handler from Python 3.12), run every stage
+    on the caller's thread.
 
     The QR is cut at the SVD rank even where its own diagonal would say
     otherwise, so there is no second route.  H = W' R[:r] has full row
@@ -261,16 +265,19 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # views of the stacked copy, so the validated copies are freed
     a, b = stacked[:m1], stacked[m1:]
 
-    # The helper takes the pivoted QR while this thread reads r off the
-    # stacked singular values, then the singular values of a and b while
-    # this thread takes the SVD of Qa; r_a and r_b are first needed after
-    # it.  Without a helper thread its work runs here once r is known.
-    outcomes = queue.SimpleQueue()
+    # A stage's error settles its Future as a result would, so a failing
+    # helper never leaves the caller waiting; sv_ab is read after the SVD
+    # of Qa, where r_a and r_b are first needed.
+    qr, sv_ab = Future(), Future()
 
     def helper():
-        for stage in (lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True),
-                      lambda: (matcore._svdvals(a), matcore._svdvals(b))):
-            outcomes.put(_outcome(stage))
+        for future, stage in (
+                (qr, lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True)),
+                (sv_ab, lambda: (matcore._svdvals(a), matcore._svdvals(b)))):
+            try:
+                future.set_result(stage())
+            except BaseException as exc:
+                future.set_exception(exc)
 
     thread = _start_beside(helper, stacked.shape)
     try:
@@ -279,10 +286,10 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
         r = _count_above(sv_st, cut)
         if thread is None:
             helper()
-        q, rmat, perm = _result(outcomes)
+        q, rmat, perm = qr.result()
         qa, qb = q[:m1, :r], q[m1:, :r]
         u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
-        sv_a, sv_b = _result(outcomes)
+        sv_a, sv_b = sv_ab.result()
     finally:
         if thread is not None:
             thread.join()
@@ -338,12 +345,10 @@ _HELPER_MIN_WORK = 10**7
 
 
 def _start_beside(fn, shape):
-    # fn started on a new thread, and that thread; None, with fn not run,
-    # below the size cut for a stacked matrix of this shape or where no
-    # thread can be started (from an atexit handler, or past the process's
-    # thread limit).  The thread is made per call, never kept at module
-    # level: a kept thread does not survive a fork, and a forked child's
-    # decomposition would wait on it forever.
+    # fn started on a new thread, and that thread, or None with fn not run.
+    # The thread is made per call, never kept at module level: a kept
+    # thread does not survive a fork, and a forked child's decomposition
+    # would wait on it forever.
     m, n = shape
     if m * n * min(m, n) < _HELPER_MIN_WORK:
         return None
@@ -353,24 +358,6 @@ def _start_beside(fn, shape):
     except RuntimeError:
         return None
     return thread
-
-
-def _outcome(fn):
-    # (fn's result, None), or (None, whatever fn raised): `_result` raises
-    # it again on the caller's thread, and a helper that let it escape
-    # would leave the caller waiting forever.
-    try:
-        return fn(), None
-    except BaseException as exc:
-        return None, exc
-
-
-def _result(outcomes: queue.SimpleQueue):
-    # The next outcome's result, waiting for it; its error is raised here.
-    value, error = outcomes.get()
-    if error is not None:
-        raise error
-    return value
 
 
 def _rank_cutoff(sv_stacked: np.ndarray, shape, tol: Tolerance) -> float:

@@ -162,7 +162,7 @@ def jacobi_log_density(params: JacobiParams, lambdas) -> float:
     lam = np.sort(np.asarray(lambdas, dtype=float))
     if lam.size != params.n:
         raise DomainError(f"expected {params.n} eigenvalues, got {lam.size}")
-    if np.any(lam <= 0.0) or np.any(lam >= 1.0):
+    if not np.all((lam > 0.0) & (lam < 1.0)):  # NaN fails both comparisons
         raise DomainError("eigenvalues must lie strictly inside (0, 1)")
     if np.any(np.diff(lam) == 0.0):
         raise DomainError("eigenvalues must be distinct")

@@ -174,7 +174,8 @@ def quotient_check(a, b):
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    # one factorization of each input serves the GSVD, the projector and A B^+
+    # A's singular values from the GSVD give ||A||_2; B is factored twice,
+    # for its singular values inside the GSVD and here for null(B) and B^+
     f, sv_a = _decompose(a, b, Tolerance(), compact=True)
     a_norm = float(sv_a[0])
     ub, sv_b, vb = matcore._svd(b, complete_v=True)

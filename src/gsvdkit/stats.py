@@ -88,15 +88,17 @@ def cluster_design(partition) -> ClusterDesign:
     constraint [I | -ones] has the all-ones vector as its nullspace.  The
     U factor of gsvd(indicator, constraint) delivers the split: one mean
     column (all entries 1/sqrt(p)), k - 1 between columns, p - k within.
-    Sizes must be whole numbers >= 1: 6.0 is taken as 6, but 2.5 or "2"
-    raises InvalidPartition rather than being truncated or parsed.
+    Sizes must be whole numbers >= 1: 6.0 is taken as 6, but 2.5, "2" or
+    True raises InvalidPartition rather than being truncated, parsed or
+    counted as 1.
     """
     sizes = list(partition)
     try:
         parts = [int(x) for x in sizes]
     except (TypeError, ValueError, OverflowError):
         parts = None
-    if parts != sizes or len(parts) < 2 or min(parts) < 1:
+    if (parts != sizes or any(isinstance(x, (bool, np.bool_)) for x in sizes)
+            or len(parts) < 2 or min(parts) < 1):
         raise InvalidPartition(
             f"need k >= 2 cluster sizes, all whole numbers >= 1, got {sizes}"
         )

@@ -40,7 +40,7 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class PrincipalAngles:
     cosines: np.ndarray       # descending, length min(dim1, dim2)
-    angles: np.ndarray        # arccos of the cosines
+    angles: np.ndarray        # atan2(s_i, c_i) from the factors, accurate for small angles
     a1_vectors: np.ndarray    # unit directions in span(a1), one per angle
     a2_vectors: np.ndarray    # their closest mates in span(a2); zero where cos = 0
 
@@ -75,7 +75,9 @@ def principal_angles(a1, a2) -> PrincipalAngles:
     agree with the classical svd(Q1' Y) values to 1e-9; coincident and
     orthogonal directions snap to exactly 1 and 0.  Those reference values
     are the singular values of Y' Q1 that the GSVD reads r_a from, so the
-    pair is factored once.
+    pair is factored once.  The angles are atan2(s_i, c_i) of the factors:
+    the sines are norms of the residual part, so a small angle keeps its
+    relative accuracy where arccos of a cosine near 1 would lose it.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -109,7 +111,7 @@ def principal_angles(a1, a2) -> PrincipalAngles:
     a2_vecs = y @ udirs
     return PrincipalAngles(
         cosines=cosines,
-        angles=np.arccos(np.clip(cosines, -1.0, 1.0)),
+        angles=f.theta()[:k],
         a1_vectors=a1_vecs,
         a2_vectors=a2_vecs,
     )

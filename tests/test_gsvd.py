@@ -730,6 +730,22 @@ class TestHelperThread:
             gsvd.gsvd_decompose(a, b)
         assert "gsvd-helper" not in [t.name for t in threading.enumerate()]
 
+    def test_helper_second_stage_error_is_raised_on_the_caller(self, rng, monkeypatch):
+        # The singular values of a and b are the helper's second stage; the
+        # stacked pair's, taken on the caller's thread, still succeed.
+        a, b = _above_the_cut(rng, 150, 100, 200)
+        svdvals = matcore._svdvals
+
+        def fail_on_a_block(x):
+            if x.shape[0] != a.shape[0] + b.shape[0]:
+                raise np.linalg.LinAlgError("block SVD failed")
+            return svdvals(x)
+
+        monkeypatch.setattr(matcore, "_svdvals", fail_on_a_block)
+        with pytest.raises(np.linalg.LinAlgError, match="block SVD failed"):
+            gsvd.gsvd_decompose(a, b)
+        assert "gsvd-helper" not in [t.name for t in threading.enumerate()]
+
     def test_no_thread_to_start_runs_on_the_caller(self, rng, monkeypatch):
         # Thread.start raises RuntimeError past the process's thread limit
         # and, from Python 3.12, in atexit handlers.

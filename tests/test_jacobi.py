@@ -157,6 +157,8 @@ class TestDensity:
             jacobi.jacobi_log_density(params, [0.4, 0.4])
         with pytest.raises(DomainError):
             jacobi.jacobi_log_density(params, [0.4])
+        with pytest.raises(DomainError):
+            jacobi.jacobi_log_density(params, [0.4, float("nan")])
 
 
 class TestEmpiricalCheck:

@@ -56,8 +56,9 @@ class TestClusterDesign:
         with pytest.raises(InvalidPartition):
             stats.cluster_design([3, 0])
 
-    @pytest.mark.parametrize("parts", [[2.5, 3], ["2", 3], [3, float("nan")]],
-                             ids=["fraction", "string", "nan"])
+    @pytest.mark.parametrize("parts", [[2.5, 3], ["2", 3], [3, float("nan")],
+                                       [True, 2], [np.True_, 2]],
+                             ids=["fraction", "string", "nan", "bool", "numpy-bool"])
     def test_sizes_that_are_not_whole_numbers_raise(self, parts):
         # int(2.5) would silently give a partition of (2, 3)
         with pytest.raises(InvalidPartition):

@@ -119,6 +119,34 @@ class TestPrincipalAngles:
         subgeom.principal_angles(rng.standard_normal((12, 4)), rng.standard_normal((12, 3)))
         assert calls == [(15, 4), (3, 4), (12, 4)]
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_one_small_angle_is_exact(self, t):
+        # arccos of a cosine within t^2 / 2 of 1 loses the angle entirely
+        # below t ~ 1e-8; the sine keeps it
+        a1 = np.array([[1.0], [0.0], [0.0]])
+        a2 = np.array([[np.cos(t)], [np.sin(t)], [0.0]])
+        angle = subgeom.principal_angles(a1, a2).angles[0]
+        assert abs(angle - t) <= 1e-14 * t
+
+    @pytest.mark.parametrize("scale, bound", [(1e-3, 1e-12), (1e-5, 1e-7)])
+    def test_small_angles_match_the_sines(self, scale, bound):
+        # reference: arcsin of the singular values of the part of Y outside
+        # span(Q1), projected out twice
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            a1 = rng.standard_normal((50, 4))
+            a2 = a1 + scale * rng.standard_normal((50, 4))
+            q1, y = matcore.orth_basis(a1), matcore.orth_basis(a2)
+            residual = y - q1 @ (q1.T @ y)
+            residual -= q1 @ (q1.T @ residual)
+            reference = np.sort(np.arcsin(np.linalg.svd(residual, compute_uv=False)))
+            angles = np.sort(subgeom.principal_angles(a1, a2).angles)
+            assert np.max(np.abs(angles - reference) / reference) <= bound
+
+    def test_orthogonal_subspaces_exact_right_angles(self):
+        result = subgeom.principal_angles(np.eye(4)[:, :2], np.eye(4)[:, 2:])
+        np.testing.assert_array_equal(result.angles, np.full(2, np.pi / 2))
+
 
 def assert_matches_svd_route(a1, a2):
     # the cosines against svd(Q1' Y) on the library's own bases, so both
