@@ -212,18 +212,20 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     followed by the columns themselves; H = W' R moved back to the
     original column order.
 
-    A large pair (m n min(m, n) >= 10^7 for the m x n stacked matrix)
+    A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix)
     starts one helper thread for the call: it takes the pivoted QR and
     then the singular values of a and b, while the caller's thread takes
-    those of the stacked pair and the SVD of Qa.  LAPACK runs without the
-    interpreter lock and every call gets the input it gets on one thread,
-    so the factors are the same bit for bit; with multi-threaded BLAS the
-    two threads share its cores.  An error on the helper is raised on the
-    caller's thread.  The thread is joined before the call returns or
-    raises, so nothing is left running and a process may fork after it
-    has decomposed.  Smaller pairs, and calls where no thread can be
-    started (as in an atexit handler from Python 3.12), run every stage
-    on the caller's thread.
+    those of the stacked pair and the SVD of Qa.  Each of these stages
+    runs LAPACK without the interpreter lock, so the two threads overlap;
+    the singular values are taken through `matcore._svdvals` because
+    NumPy's values-only SVD keeps the lock up to about 500 columns.  Every
+    call gets the input it gets on one thread, so the factors are the same
+    bit for bit; with multi-threaded BLAS the two threads share its cores.
+    An error on the helper is raised on the caller's thread.  The thread
+    is joined before the call returns or raises, so nothing is left
+    running and a process may fork after it has decomposed.  Smaller
+    pairs, and calls where no thread can be started (as in an atexit
+    handler from Python 3.12), run every stage on the caller's thread.
 
     The QR is cut at the SVD rank even where its own diagonal would say
     otherwise, so there is no second route.  H = W' R[:r] has full row
@@ -267,12 +269,14 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
 
     # A stage's error settles its Future as a result would, so a failing
     # helper never leaves the caller waiting; sv_ab is read after the SVD
-    # of Qa, where r_a and r_b are first needed.
+    # of Qa, where r_a and r_b are first needed.  as_matrix has rejected
+    # non-finite entries, so the QR skips SciPy's second scan for them.
     qr, sv_ab = Future(), Future()
 
     def helper():
         for future, stage in (
-                (qr, lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True)),
+                (qr, lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True,
+                                             check_finite=False)),
                 (sv_ab, lambda: (matcore._svdvals(a), matcore._svdvals(b)))):
             try:
                 future.set_result(stage())
@@ -336,12 +340,13 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
 
 # An m x n stacked pair with m * n * min(m, n) below this, the order of
 # the flops of its QR and of each singular-value pass, decomposes on the
-# caller's thread alone.  Starting the helper costs 0.5-1 ms.  With one
-# BLAS thread the overlapped route took 1.5 to 2.8 times the serial time
-# up to 60/40 x 50 (2.5e5) and 0.8 to 1.1 times it, with no steady gain,
-# from 5e5 to 9e6; from 1.5e7 up it took 0.7 to 0.9 times it with the
-# second core idle, and 0.9 to 1.0 times it with that core busy.
-_HELPER_MIN_WORK = 10**7
+# caller's thread alone.  Starting the helper costs 0.5-1 ms.  On a
+# 2-core host with one BLAS thread and the second core idle, the
+# overlapped route took 0.61 to 0.78 times the serial time from 4.9e6 to
+# 2.2e7 (0.81 to 0.99 on pairs over ten times taller than wide), and a
+# mixed 0.61 to 1.15 from 2.5e5 to 4e6.  With the second core busy it
+# took 0.84 to 1.05 times it from 3e6 up, and 1.08 to 1.34 below 2e6.
+_HELPER_MIN_WORK = 5 * 10**6
 
 
 def _start_beside(fn, shape):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -230,3 +234,68 @@ class TestHelpers:
 
     def test_complete_basis_empty(self):
         np.testing.assert_allclose(matcore.complete_basis(np.zeros((4, 0))), np.eye(4))
+
+
+def _laid_out(rng, shape, layout):
+    # A Gaussian matrix of this shape, held in the given memory layout.
+    m, n = shape
+    if layout == "C":
+        return rng.standard_normal(shape)
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal(shape))
+    if layout == "transposed":
+        return rng.standard_normal((n, m)).T
+    return rng.standard_normal((2 * m, 3 * n))[::2, ::3]
+
+
+class TestSvdvals:
+    # matcore._svdvals calls LAPACK itself; NumPy's svd is the reference.
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (5, 0), (0, 5), (9, 4), (4, 9)])
+    def test_matches_numpy_and_leaves_the_input(self, rng, shape, layout):
+        x = _laid_out(rng, shape, layout)
+        before = x.copy()
+        got = matcore._svdvals(x)
+        want = np.linalg.svd(x, compute_uv=False)
+        assert got.dtype == np.float64 and got.shape == want.shape == (min(shape),)
+        assert np.all(np.diff(got) <= 0)
+        assert np.all(np.abs(got - want) <= 4 * matcore.EPS * (want[0] if want.size else 0.0))
+        assert np.array_equal(x, before)
+
+    def test_nan_raises_numpys_error(self):
+        x = np.array([[1.0, 2.0], [np.nan, 3.0], [4.0, 5.0]])
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.svd(x, compute_uv=False)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            matcore._svdvals(x)
+        assert str(got.value) == str(want.value)
+
+    def test_releases_the_interpreter_lock(self, rng):
+        # With a switch interval far longer than the call, the caller is
+        # never asked to drop the lock, so the spinner counts during the
+        # call only if the call releases it.  NumPy's values-only SVD of a
+        # 550 x 200 matrix does not.
+        x = rng.standard_normal((550, 200))
+        count, started, stop = [0], threading.Event(), threading.Event()
+
+        def spin():
+            started.set()
+            while not stop.is_set():
+                count[0] += 1
+                time.sleep(0)
+
+        spinner = threading.Thread(target=spin)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(100.0)
+        try:
+            spinner.start()
+            assert started.wait(timeout=60)
+            before = count[0]
+            matcore._svdvals(x)
+            during = count[0] - before
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            spinner.join(timeout=60)
+        assert not spinner.is_alive()
+        assert during > 0
