@@ -98,7 +98,7 @@ def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) ->
         "r": f.r, "ra": f.r_a, "rb": f.r_b,
         "convention": convention,
         "compact": f.compact,
-        "tolerance": {"rel": tol.rel, "abs": tol.abs},
+        "tolerance": {"rel": tol.rel, "abs": 0.0},
         "u": f.u.tolist(),
         "v": f.v.tolist(),
         "c": f.c.tolist(),
@@ -274,22 +274,14 @@ def cmd_verify(args) -> int:
 
 def _document_tolerance(doc: dict) -> Tolerance:
     # The tolerance the document's factors were taken at, or DocumentError
-    # unless it is an object with a null-or-number rel and a number abs;
-    # Tolerance raises DomainError (also exit 2) for a negative one.
+    # unless it is an object with a rel and an abs of 0: the library cuts at
+    # rel alone, and documents keep "abs": 0.0 for their layout.  Tolerance
+    # judges rel, raising DomainError (also exit 2) for a bad one.
     tol = doc.get("tolerance")
     if not (isinstance(tol, dict) and "rel" in tol
-            and (tol["rel"] is None or _finite_number(tol["rel"]))
-            and _finite_number(tol.get("abs"))):
-        raise DocumentError(
-            f"tolerance must be an object with a null or number rel and a number abs, got {tol!r}"
-        )
-    return Tolerance(rel=tol["rel"], abs=tol["abs"])
-
-
-def _finite_number(x) -> bool:
-    # A JSON number in the float range: bool is an int subclass, and JSON
-    # integers are unbounded, so 10**400 would overflow the cutoff.
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+            and type(tol.get("abs")) in (int, float) and tol["abs"] == 0):
+        raise DocumentError(f"tolerance must be an object with a rel and an abs of 0, got {tol!r}")
+    return Tolerance(rel=tol["rel"])
 
 
 def _factor_deviations(f: gsvd.GsvdFactors, doc: dict, a: np.ndarray, b: np.ndarray,

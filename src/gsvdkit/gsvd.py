@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matcore
-from .errors import DimensionMismatch, InvalidDimensions, RankOutOfRange
+from .errors import DimensionMismatch, DomainError, InvalidDimensions, RankOutOfRange
 from .matcore import Tolerance, as_matrix
 
 __all__ = [
@@ -249,6 +249,8 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     bit for bit; V can differ by roundoff, since the blocked reflectors
     meet a narrower right-hand side.
     """
+    if not isinstance(tol, Tolerance):
+        raise DomainError(f"tol must be a Tolerance, got {tol!r}")
     return _decompose(a, b, tol, compact=compact)[0]
 
 
@@ -286,8 +288,8 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     thread = _start_beside(helper, stacked.shape)
     try:
         sv_st = matcore._svdvals(stacked)
-        cut = _rank_cutoff(sv_st, stacked.shape, tol)
-        r = _count_above(sv_st, cut)
+        cut = tol.cutoff(stacked.shape, sv_st[0])
+        r = matcore._count_above(sv_st, cut)
         if thread is None:
             helper()
         q, rmat, perm = qr.result()
@@ -297,7 +299,7 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     finally:
         if thread is not None:
             thread.join()
-    r_a, r_b = _count_above(sv_a, cut), _count_above(sv_b, cut)
+    r_a, r_b = matcore._count_above(sv_a, cut), matcore._count_above(sv_b, cut)
 
     if compact:
         u = u[:, :r_a]
@@ -365,24 +367,12 @@ def _start_beside(fn, shape):
     return thread
 
 
-def _rank_cutoff(sv_stacked: np.ndarray, shape, tol: Tolerance) -> float:
-    # The one cutoff that serves all three rank decisions, anchored at the
-    # scale of the stacked pair of this shape with singular values
-    # sv_stacked: a block that is pure roundoff relative to the other is
-    # rank zero here even though it is "full rank" at its own scale.
-    return tol.cutoff(shape, sv_stacked[0])
-
-
-def _count_above(sv: np.ndarray, cut: float) -> int:
-    return int(np.count_nonzero(sv > cut))
-
-
 def _ranks(a: np.ndarray, b: np.ndarray, stacked: np.ndarray, tol: Tolerance):
     # (r, r_a, r_b) for the pair and its stacked matrix [a; b], decided as
     # `gsvd_decompose` decides them.
     sv_st = matcore._svdvals(stacked)
-    cut = _rank_cutoff(sv_st, stacked.shape, tol)
-    return tuple(_count_above(sv, cut)
+    cut = tol.cutoff(stacked.shape, sv_st[0])
+    return tuple(matcore._count_above(sv, cut)
                  for sv in (sv_st, matcore._svdvals(a), matcore._svdvals(b)))
 
 

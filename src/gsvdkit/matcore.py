@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -67,30 +69,45 @@ def _is_integer(x) -> bool:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Threshold for rank decisions: keep sigma with sigma > max(rel * sigma_max, abs).
+    """Threshold for rank decisions: keep sigma with sigma > rel * sigma_max.
 
-    rel=None means the standard max(rows, cols) * machine epsilon.
+    rel is one finite nonnegative number, held as a float, or None for
+    max(rows, cols) * machine epsilon.  `gsvd_decompose` cuts all three
+    ranks at the stacked pair's shape and sigma_max, so a block that is
+    pure roundoff beside the other is rank zero though "full rank" at its
+    own scale.
     """
 
     rel: float | None = None
-    abs: float = 0.0
 
     def __post_init__(self):
-        # `not x >= 0` rejects NaN too, which would give a NaN cutoff and rank 0
-        if self.rel is not None and not self.rel >= 0:
-            raise DomainError(f"rel must be a nonnegative number, got {self.rel}")
-        if not self.abs >= 0:
-            raise DomainError(f"abs must be a nonnegative number, got {self.abs}")
+        # A bool is an int but no tolerance, float() of an int past the
+        # float range overflows, and a NaN or infinite rel makes every rank 0.
+        if self.rel is None:
+            return
+        real = isinstance(self.rel, numbers.Real) and not isinstance(self.rel, bool)
+        try:
+            rel = float(self.rel) if real else math.nan
+        except OverflowError:
+            rel = math.inf
+        if not 0 <= rel < math.inf:
+            raise DomainError(f"rel must be a nonnegative number and finite, got {self.rel!r}")
+        object.__setattr__(self, "rel", rel)
 
     def cutoff(self, shape, sigma_max: float) -> float:
         rel = max(shape) * EPS if self.rel is None else self.rel
-        return max(rel * float(sigma_max), self.abs)
+        return rel * float(sigma_max)
+
+
+def _count_above(sv: np.ndarray, cut: float) -> int:
+    # How many singular values sv lie above cut: every rank is this count.
+    return int(np.count_nonzero(sv > cut))
 
 
 def _rank_of(sv: np.ndarray, shape) -> int:
-    # Count of descending singular values sv above the default cutoff of a
-    # matrix of this shape; 0 when all vanish.
-    return int(np.count_nonzero(sv > Tolerance().cutoff(shape, sv[0])))
+    # The rank of a matrix of this shape with descending singular values
+    # sv, at the default cutoff; 0 when all vanish.
+    return _count_above(sv, Tolerance().cutoff(shape, sv[0]))
 
 
 def _pinned(shape) -> Tolerance:

@@ -171,10 +171,17 @@ def _check_unit(e: np.ndarray) -> np.ndarray:
     return e
 
 
+def _check_length(name: str, x: np.ndarray, owner: str, n: int) -> np.ndarray:
+    # x, a vector the matrix `owner` with n columns multiplies
+    if x.size != n:
+        raise DimensionMismatch(f"{name} has {x.size} entries, {owner} has {n} columns")
+    return x
+
+
 def energy_point(a, e) -> np.ndarray:
     """Point e * ||A e||^2 of the energy set of A, for unit e."""
     a = as_matrix(a)
-    e = _check_unit(as_vector(e))
+    e = _check_unit(_check_length("e", as_vector(e), "A", a.shape[1]))
     return e * float(np.dot(a @ e, a @ e))
 
 
@@ -187,7 +194,11 @@ def energy_point2(a, b, e) -> np.ndarray:
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    e = _check_unit(as_vector(e))
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(
+            f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
+        )
+    e = _check_unit(_check_length("e", as_vector(e), "A", a.shape[1]))
     den = float(np.dot(b @ e, b @ e))
     scale = float(np.linalg.norm(b)) ** 2
     if den <= scale * matcore.EPS * max(b.shape):
@@ -202,10 +213,10 @@ def lemniscate_residual(a, x) -> float:
     singular basis (x = V' point).
     """
     a = as_matrix(a)
-    x = as_vector(x)
+    x = _check_length("x", as_vector(x), "A", a.shape[1])
     sv = matcore._svdvals(a)
     sig2 = np.zeros(x.size)
-    sig2[: min(sv.size, x.size)] = sv[: x.size] ** 2
+    sig2[: sv.size] = sv**2
     q2 = float(np.dot(x, x))
     w2 = float(np.dot(sig2 * x, x))
     return q2**3 - w2**2
@@ -213,7 +224,7 @@ def lemniscate_residual(a, x) -> float:
 
 def lemniscate_residual2(f: GsvdFactors, x) -> float:
     """Residual of ||x||^2 ||S H x||^4 = ||C H x||^4; zero on Energy(A, B)."""
-    x = as_vector(x)
+    x = _check_length("x", as_vector(x), "H", f.n)
     hx = f.h @ x
     shx2 = float(np.dot(f.s**2 * hx, hx))
     chx2 = float(np.dot(f.c**2 * hx, hx))

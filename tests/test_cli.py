@@ -131,6 +131,15 @@ class TestGsvdCommand:
             assert doc["apportionment"]["labels"] == want
         assert calls == []
 
+    def test_document_records_the_tolerance(self, worked_example, tmp_path):
+        # abs stays in the layout, as 0.0, so documents keep their bytes
+        a, b = worked_example
+        out = tmp_path / "factors.json"
+        for flags, line in [([], '"tolerance": {"rel": null, "abs": 0.0},'),
+                            (["--tol", "1e-11"], '"tolerance": {"rel": 1e-11, "abs": 0.0},')]:
+            assert cli.main(["gsvd", a, b, "--json", str(out)] + flags) == 0
+            assert line in out.read_text(encoding="utf-8").splitlines()
+
     def test_top_convention(self, worked_example, tmp_path):
         a, b = worked_example
         out = str(tmp_path / "factors.json")
@@ -489,6 +498,24 @@ class TestVerifyCommand:
         assert cli.main(["verify", a, b, out]) == 2
         assert capsys.readouterr().err.startswith("gsvdkit verify: ")
 
+    @pytest.mark.parametrize("abs_value, code", [(1e-3, 2), (0, 0), (0.0, 0)],
+                             ids=["nonzero", "int zero", "float zero"])
+    def test_document_abs_must_be_zero(self, worked_example, tmp_path, abs_value, code,
+                                       capsys):
+        # the library cuts at a relative tolerance alone, so it cannot
+        # honour a document that records any other absolute one
+        a, b = worked_example
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        doc["tolerance"]["abs"] = abs_value
+        with open(out, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, out]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("gsvdkit verify: tolerance must be")
+
     @pytest.mark.parametrize("change, differing", [
         ("generalized values", 1), ("structure", 1), ("angles", 1), ("labels", 1),
         ("all four", 4)])
@@ -752,6 +779,17 @@ class TestInputEdges:
         a, b = worked_example
         assert cli.main(["gsvd", a, b, "--tol", "nan"]) == 2
         assert "rel must be a nonnegative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "1e400"])
+    def test_infinite_tolerance_exit_2_writes_nothing(self, worked_example, tmp_path, tol,
+                                                      capsys):
+        # an infinite rel made every rank 0 and wrote a document that is
+        # not JSON, which verify then refused
+        a, b = worked_example
+        out = tmp_path / "factors.json"
+        assert cli.main(["gsvd", a, b, f"--tol={tol}", "--json", str(out)]) == 2
+        assert "rel must be a nonnegative number" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lambdas", ["0,nan", "inf", "1,-inf"])
     def test_non_finite_lambda_exit_2(self, tmp_path, capsys, lambdas):

@@ -60,6 +60,30 @@ CASES = [
      DimensionMismatch, "fundamental_subspaces needs full-format factors"),
     ("energy_point unit", lambda: subgeom.energy_point(np.eye(2), [1.0, 1.0]),
      NotOrthonormal, "e must be a unit vector"),
+    ("energy_point short e", lambda: subgeom.energy_point(np.ones((3, 4)), [1.0, 0.0, 0.0]),
+     DimensionMismatch, "e has 3 entries, A has 4 columns"),
+    ("energy_point2 short e", lambda: subgeom.energy_point2(np.eye(3), np.eye(3), [1.0, 0.0]),
+     DimensionMismatch, "e has 2 entries, A has 3 columns"),
+    ("energy_point2 column counts", lambda: subgeom.energy_point2(
+        np.eye(3), np.ones((2, 2)), [1.0, 0.0, 0.0]),
+     DimensionMismatch, "column counts differ: A has 3, B has 2"),
+    ("lemniscate_residual long x", lambda: subgeom.lemniscate_residual(
+        np.diag([3.0, 4.0]), [1.0, 0.0, 0.0]),
+     DimensionMismatch, "x has 3 entries, A has 2 columns"),
+    ("lemniscate_residual2 long x", lambda: subgeom.lemniscate_residual2(
+        _full(), [1.0, 0.0, 0.0]),
+     DimensionMismatch, "x has 3 entries, H has 2 columns"),
+    ("tolerance inf", lambda: matcore.Tolerance(rel=np.inf),
+     DomainError, "rel must be a nonnegative number and finite, got inf"),
+    ("tolerance bool", lambda: matcore.Tolerance(rel=True),
+     DomainError, "rel must be a nonnegative number and finite, got True"),
+    ("tolerance string", lambda: matcore.Tolerance(rel="1e-3"),
+     DomainError, "rel must be a nonnegative number and finite, got '1e-3'"),
+    ("tolerance past the float range", lambda: matcore.Tolerance(rel=10**400),
+     DomainError, f"rel must be a nonnegative number and finite, got {10**400}"),
+    ("gsvd_decompose float tol", lambda: gsvd.gsvd_decompose(
+        np.diag([3.0, 4.0]), np.ones((1, 2)), 1e-3),
+     DomainError, "tol must be a Tolerance, got 0.001"),
 ]
 
 

@@ -180,9 +180,9 @@ class TestQrSvdRankDisagreement:
         m = int(gen.integers(3, 8))
         n = int(gen.integers(3, 8))
         stacked = gen.standard_normal((m, n))
-        tol = Tolerance(rel=0.0, abs=cut)
         _, r_up, _ = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
         sv = np.linalg.svd(stacked, compute_uv=False)
+        tol = Tolerance(rel=cut / sv[0])
         assert int(np.count_nonzero(np.abs(np.diag(r_up)) > cut)) == qr_rank
         assert int(np.count_nonzero(sv > cut)) == svd_rank
 
@@ -588,11 +588,11 @@ class TestConventions:
         assert np.linalg.norm(b - top.col_b @ (top.col_b.T @ b)) <= 1e-12 * max(np.linalg.norm(b), 1.0)
 
 
-# a zero pair, and a nonzero pair that an absolute tolerance above its
-# scale makes rank 0
+# a zero pair, and a nonzero pair that rel = 1 makes rank 0: no singular
+# value lies above sigma_max
 RANK_ZERO_PAIRS = {
     "zero_pair": (np.zeros((3, 4)), np.zeros((2, 4)), Tolerance()),
-    "abs_cutoff": (np.arange(12.0).reshape(3, 4), np.ones((2, 4)), Tolerance(abs=1e3)),
+    "abs_cutoff": (np.arange(12.0).reshape(3, 4), np.ones((2, 4)), Tolerance(rel=1.0)),
 }
 
 

@@ -389,7 +389,8 @@ class TestAugmentRows:
 class TestRankZeroTrigTable:
     @pytest.mark.parametrize("a, b, tol", [
         (np.zeros((3, 4)), np.zeros((2, 4)), Tolerance()),
-        (np.arange(12.0).reshape(3, 4), np.ones((2, 4)), Tolerance(abs=1e3)),
+        # rel = 1 makes the nonzero pair rank 0: no singular value lies above sigma_max
+        (np.arange(12.0).reshape(3, 4), np.ones((2, 4)), Tolerance(rel=1.0)),
     ], ids=["zero_pair", "abs_cutoff"])
     def test_every_row_is_empty_and_exact(self, a, b, tol):
         f = gsvd.gsvd_decompose(a, b, tol)
