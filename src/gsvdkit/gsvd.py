@@ -23,9 +23,9 @@ from `v_start`, at V's right end in the bottom-aligned convention
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import threading
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,19 +213,20 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     original column order.
 
     A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix)
-    starts one helper thread for the call: it takes the pivoted QR and
-    then the singular values of a and b, while the caller's thread takes
-    those of the stacked pair and the SVD of Qa.  Each of these stages
-    runs LAPACK without the interpreter lock, so the two threads overlap;
-    the singular values are taken through `matcore._svdvals` because
-    NumPy's values-only SVD keeps the lock up to about 500 columns.  Every
-    call gets the input it gets on one thread, so the factors are the same
-    bit for bit; with multi-threaded BLAS the two threads share its cores.
-    An error on the helper is raised on the caller's thread.  The thread
-    is joined before the call returns or raises, so nothing is left
-    running and a process may fork after it has decomposed.  Smaller
-    pairs, and calls where no thread can be started (as in an atexit
-    handler from Python 3.12), run every stage on the caller's thread.
+    gets a one-thread `concurrent.futures.ThreadPoolExecutor` made for the
+    call: its thread takes the pivoted QR and then the singular values of
+    a and b, while the caller's thread takes those of the stacked pair and
+    the SVD of Qa.  Each of these stages runs LAPACK without the
+    interpreter lock, so the two threads overlap; the singular values are
+    taken through `matcore._svdvals` because NumPy's values-only SVD keeps
+    the lock up to about 500 columns.  Every call gets the input it gets
+    on one thread, so the factors are the same bit for bit; with
+    multi-threaded BLAS the two threads share its cores.  An error on the
+    helper is raised on the caller's thread.  The pool is shut down before
+    the call returns or raises, so nothing is left running and a process
+    may fork after it has decomposed.  Smaller pairs, and calls where no
+    thread can be started (as in an atexit handler), run every stage on
+    the caller's thread, each where its result is first read.
 
     The QR is cut at the SVD rank even where its own diagonal would say
     otherwise, so there is no second route.  H = W' R[:r] has full row
@@ -269,36 +270,20 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # views of the stacked copy, so the validated copies are freed
     a, b = stacked[:m1], stacked[m1:]
 
-    # A stage's error settles its Future as a result would, so a failing
-    # helper never leaves the caller waiting; sv_ab is read after the SVD
-    # of Qa, where r_a and r_b are first needed.  as_matrix has rejected
-    # non-finite entries, so the QR skips SciPy's second scan for them.
-    qr, sv_ab = Future(), Future()
-
-    def helper():
-        for future, stage in (
-                (qr, lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True,
-                                             check_finite=False)),
-                (sv_ab, lambda: (matcore._svdvals(a), matcore._svdvals(b)))):
-            try:
-                future.set_result(stage())
-            except BaseException as exc:
-                future.set_exception(exc)
-
-    thread = _start_beside(helper, stacked.shape)
-    try:
+    # The helper's stages; sv_ab is read after the SVD of Qa, where r_a and
+    # r_b are first needed.  as_matrix has rejected non-finite entries, so
+    # the QR skips SciPy's second scan for them.
+    with _helper(stacked.shape) as pool:
+        qr = _beside(pool, lambda: scipy.linalg.qr(stacked, mode="economic", pivoting=True,
+                                                   check_finite=False))
+        sv_ab = _beside(pool, lambda: (matcore._svdvals(a), matcore._svdvals(b)))
         sv_st = matcore._svdvals(stacked)
         cut = tol.cutoff(stacked.shape, sv_st[0])
         r = matcore._count_above(sv_st, cut)
-        if thread is None:
-            helper()
-        q, rmat, perm = qr.result()
+        q, rmat, perm = qr()
         qa, qb = q[:m1, :r], q[m1:, :r]
         u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
-        sv_a, sv_b = sv_ab.result()
-    finally:
-        if thread is not None:
-            thread.join()
+        sv_a, sv_b = sv_ab()
     r_a, r_b = matcore._count_above(sv_a, cut), matcore._count_above(sv_b, cut)
 
     if compact:
@@ -351,20 +336,29 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
 _HELPER_MIN_WORK = 5 * 10**6
 
 
-def _start_beside(fn, shape):
-    # fn started on a new thread, and that thread, or None with fn not run.
-    # The thread is made per call, never kept at module level: a kept
-    # thread does not survive a fork, and a forked child's decomposition
-    # would wait on it forever.
+def _helper(shape):
+    # A one-thread pool for a pair at or above _HELPER_MIN_WORK, else a
+    # context holding None.  The pool is made per call and shut down on
+    # leaving its `with`, never kept at module level: a kept thread does
+    # not survive a fork, and a forked child's decomposition would wait on
+    # it forever.
     m, n = shape
     if m * n * min(m, n) < _HELPER_MIN_WORK:
-        return None
-    thread = threading.Thread(target=fn, name="gsvd-helper")
-    try:
-        thread.start()
-    except RuntimeError:
-        return None
-    return thread
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gsvd-helper")
+
+
+def _beside(pool, stage):
+    # A callable giving stage's result, or raising its error: its Future's
+    # `result`, or stage itself, run where it is read, when there is no
+    # pool or no thread can start (past the thread limit, or in an atexit
+    # handler, submit raises RuntimeError).
+    if pool is not None:
+        try:
+            return pool.submit(stage).result
+        except RuntimeError:
+            pass
+    return stage
 
 
 def _ranks(a: np.ndarray, b: np.ndarray, stacked: np.ndarray, tol: Tolerance):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from .errors import DomainError, InvalidDimensions, UnsupportedBeta
-from .matcore import _is_integer
+from .matcore import _as_real, _is_integer
 
 __all__ = [
     "JacobiParams",
@@ -55,8 +55,8 @@ class JacobiParams:
             raise InvalidDimensions("n must be positive")
         if self.m1 < self.n or self.m2 < self.n:
             raise InvalidDimensions("need m1 >= n and m2 >= n")
-        if not self.beta > 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not 0 < _as_real(self.beta) < np.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta!r}")
         if self.a1 - self.p <= -1 or self.a2 - self.p <= -1:
             raise DomainError("density is not integrable for these parameters")
 

@@ -67,6 +67,19 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _as_real(x) -> float:
+    # x as a float for a real-valued parameter, NaN when x is no real
+    # number or is a bool (an int, but never a magnitude), and infinite for
+    # an int past the float range, where float() overflows.  Each caller
+    # checks the range it needs and names x in its own DomainError.
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Threshold for rank decisions: keep sigma with sigma > rel * sigma_max.
@@ -81,15 +94,10 @@ class Tolerance:
     rel: float | None = None
 
     def __post_init__(self):
-        # A bool is an int but no tolerance, float() of an int past the
-        # float range overflows, and a NaN or infinite rel makes every rank 0.
+        # A NaN or infinite rel makes every rank 0.
         if self.rel is None:
             return
-        real = isinstance(self.rel, numbers.Real) and not isinstance(self.rel, bool)
-        try:
-            rel = float(self.rel) if real else math.nan
-        except OverflowError:
-            rel = math.inf
+        rel = _as_real(self.rel)
         if not 0 <= rel < math.inf:
             raise DomainError(f"rel must be a nonnegative number and finite, got {self.rel!r}")
         object.__setattr__(self, "rel", rel)

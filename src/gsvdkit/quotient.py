@@ -204,8 +204,9 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
     V is rebuilt as [remaining columns | sine block] and the r sines take
     its last r columns, so either convention gives the same pair.
     """
-    if not 0.0 < epsilon < np.pi / 4:
-        raise DomainError(f"epsilon must lie in (0, pi/4), got {epsilon}")
+    eps = matcore._as_real(epsilon)
+    if not 0.0 < eps < np.pi / 4:
+        raise DomainError(f"epsilon must lie in (0, pi/4), got {epsilon!r}")
     if f.compact:
         raise DimensionMismatch("limit_curve needs full-format factors")
     if f.m2 < f.r:
@@ -217,12 +218,12 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
     stacked = dataclasses.replace(
         f,
         v=np.hstack([rest, sine]),
-        c=np.where(zero_s, np.cos(epsilon), f.c),
-        s=np.where(zero_s, np.sin(epsilon), f.s),
+        c=np.where(zero_s, np.cos(eps), f.c),
+        s=np.where(zero_s, np.sin(eps), f.s),
         v_start=f.m2 - f.r,
     ).reconstruct()
     a_eps, b_eps = stacked[: f.m1], stacked[f.m1:]
-    return LimitCurve(epsilon=epsilon, a_eps=a_eps, b_eps=b_eps)
+    return LimitCurve(epsilon=eps, a_eps=a_eps, b_eps=b_eps)
 
 
 def augment_rows(b, r: int) -> np.ndarray:

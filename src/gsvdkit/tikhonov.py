@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import gsvd
 from .errors import DimensionMismatch, DomainError, SingularH
-from .matcore import as_matrix, as_vector
+from .matcore import _as_real, as_matrix, as_vector
 
 __all__ = [
     "TikhonovProblem",
@@ -97,16 +97,18 @@ def base_factors(p: TikhonovProblem) -> gsvd.GsvdFactors:
     return p._factors
 
 
-def _check_lambda(lam) -> None:
-    # DomainError unless 0 <= lam < inf; NaN fails the test too.  An
-    # infinite lambda would put inf * 0 = NaN where s_i = 0.
-    if not 0 <= lam < np.inf:
-        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
+def _check_lambda(lam) -> float:
+    # lam as a float; DomainError unless 0 <= lam < inf, which NaN fails
+    # too.  An infinite lambda would put inf * 0 = NaN where s_i = 0.
+    value = _as_real(lam)
+    if not 0 <= value < np.inf:
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam!r}")
+    return value
 
 
 def lambda_factors(p: TikhonovProblem, lam: float) -> LambdaFactors:
     """Closed-form factors of [A; lam L] scaled from the lambda = 1 anchor."""
-    _check_lambda(lam)
+    lam = _check_lambda(lam)
     f = base_factors(p)
     denom = np.hypot(f.c, lam * f.s)
     c_lam = f.c / denom
@@ -130,8 +132,15 @@ def solve_path(p: TikhonovProblem, lambdas):
     y0 = f.u.T @ p.b
     out = []
     for lam in lambdas:
-        _check_lambda(lam)
-        damp = f.c**2 / (f.c**2 + lam**2 * f.s**2)
+        lam = _check_lambda(lam)
+        # lam**2 overflows past about 1.3e154; the largest float in its
+        # place keeps the damping at its limit, 1 where s_i = 0 and below
+        # 1e-300 elsewhere, since s_i <= 1 keeps lam^2 s_i^2 finite.
+        try:
+            lam2 = lam**2
+        except OverflowError:
+            lam2 = np.finfo(np.float64).max
+        damp = f.c**2 / (f.c**2 + lam2 * f.s**2)
         x = scipy.linalg.lu_solve(lu, damp * y0)
         out.append((float(lam), x, damp))
     return out
@@ -139,7 +148,7 @@ def solve_path(p: TikhonovProblem, lambdas):
 
 def direct_solve(p: TikhonovProblem, lam: float) -> np.ndarray:
     """Stacked least-squares reference: argmin ||[A; lam L] x - [b; 0]||."""
-    _check_lambda(lam)
+    lam = _check_lambda(lam)
     stacked = np.vstack([p.a, lam * p.l])
     rhs = np.concatenate([p.b, np.zeros(p.l.shape[0])])
     return np.linalg.lstsq(stacked, rhs, rcond=None)[0]

@@ -625,6 +625,17 @@ class TestTikhonovCommand:
         norms = [row["x_norm"] for row in doc["solutions"]]
         assert norms[0] >= norms[1] >= norms[2]
 
+    def test_huge_lambda_exit_0(self, tmp_path):
+        # lambda**2 overflows a float past about 1.3e154; L's null space
+        # keeps one direction undamped
+        files = [write_csv(tmp_path / "a.csv", [[1, 0], [0, 1], [1, 1]]),
+                 write_csv(tmp_path / "l.csv", [[-1, 1]]),
+                 write_csv(tmp_path / "b.csv", [[1], [2], [3]])]
+        out = str(tmp_path / "path.json")
+        assert cli.main(["tikhonov", *files, "--lambdas", "1,1e200", "--json", out]) == 0
+        x = read_json(out)["solutions"][1]["x"]
+        np.testing.assert_allclose(x, [1.5, 1.5], rtol=1e-12)
+
     def test_rank_deficient_exit_4(self, tmp_path):
         write_csv(tmp_path / "a.csv", [[1, 1], [2, 2], [3, 3]])
         write_csv(tmp_path / "l.csv", np.eye(2).tolist())

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from gsvdkit import gsvd, jacobi, matcore, quotient, subgeom
+from gsvdkit import gsvd, jacobi, matcore, quotient, stats, subgeom, tikhonov
 from gsvdkit.errors import DimensionMismatch, DomainError, InvalidDimensions, NotOrthonormal
 
 
 def _full():
     return gsvd.gsvd_decompose(np.diag([3.0, 4.0]), np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def _problem():
+    return tikhonov.TikhonovProblem(np.eye(3), np.eye(3), np.ones(3))
 
 
 CASES = [
@@ -27,7 +31,15 @@ CASES = [
     ("jacobi m1 < n", lambda: jacobi.JacobiParams(m1=2, m2=5, n=3),
      InvalidDimensions, "need m1 >= n and m2 >= n"),
     ("jacobi beta", lambda: jacobi.JacobiParams(m1=3, m2=3, n=2, beta=0.0),
-     DomainError, "beta must be positive, got 0.0"),
+     DomainError, "beta must be positive and finite, got 0.0"),
+    ("jacobi string beta", lambda: jacobi.JacobiParams(3, 5, 1, beta="1"),
+     DomainError, "beta must be positive and finite, got '1'"),
+    ("jacobi beta past the float range", lambda: jacobi.JacobiParams(3, 5, 1, beta=10**400),
+     DomainError, f"beta must be positive and finite, got {10**400}"),
+    ("jacobi infinite beta", lambda: jacobi.JacobiParams(3, 5, 1, beta=np.inf),
+     DomainError, "beta must be positive and finite, got inf"),
+    ("jacobi boolean beta", lambda: jacobi.JacobiParams(3, 5, 1, beta=True),
+     DomainError, "beta must be positive and finite, got True"),
     ("jacobi integrability", lambda: jacobi.JacobiParams(m1=3, m2=3, n=2, beta=1e-300),
      DomainError, "density is not integrable for these parameters"),
     ("jacobi samples", lambda: jacobi.empirical_check(
@@ -53,6 +65,10 @@ CASES = [
      DomainError, "seed must be an integer in [0, 2**128), got True"),
     ("limit_curve epsilon", lambda: quotient.limit_curve(_full(), 1.0),
      DomainError, "epsilon must lie in (0, pi/4), got 1.0"),
+    ("limit_curve string epsilon", lambda: quotient.limit_curve(_full(), "0.1"),
+     DomainError, "epsilon must lie in (0, pi/4), got '0.1'"),
+    ("limit_curve None epsilon", lambda: quotient.limit_curve(_full(), None),
+     DomainError, "epsilon must lie in (0, pi/4), got None"),
     ("limit_curve compact", lambda: quotient.limit_curve(gsvd.compact(_full()), 1e-2),
      DimensionMismatch, "limit_curve needs full-format factors"),
     ("fundamental_subspaces compact", lambda: gsvd.fundamental_subspaces(
@@ -81,6 +97,19 @@ CASES = [
      DomainError, "rel must be a nonnegative number and finite, got '1e-3'"),
     ("tolerance past the float range", lambda: matcore.Tolerance(rel=10**400),
      DomainError, f"rel must be a nonnegative number and finite, got {10**400}"),
+    ("lambda string", lambda: tikhonov.lambda_factors(_problem(), "1"),
+     DomainError, "lambda must be finite and nonnegative, got '1'"),
+    ("lambda None", lambda: tikhonov.lambda_factors(_problem(), None),
+     DomainError, "lambda must be finite and nonnegative, got None"),
+    ("lambda past the float range", lambda: tikhonov.lambda_factors(_problem(), 10**400),
+     DomainError, f"lambda must be finite and nonnegative, got {10**400}"),
+    ("lambda bool", lambda: tikhonov.lambda_factors(_problem(), True),
+     DomainError, "lambda must be finite and nonnegative, got True"),
+    ("additive_split y1 rows", lambda: subgeom.additive_split(np.ones((3, 2)), np.ones((4, 1))),
+     DimensionMismatch, "y1 has 4 rows, expected 3"),
+    ("discriminant_reduce data rows", lambda: stats.discriminant_reduce(
+        np.ones((5, 2)), stats.cluster_design([2, 2])),
+     DimensionMismatch, "data has 5 rows, expected 4"),
     ("gsvd_decompose float tol", lambda: gsvd.gsvd_decompose(
         np.diag([3.0, 4.0]), np.ones((1, 2)), 1e-3),
      DomainError, "tol must be a Tolerance, got 0.001"),

@@ -132,6 +132,19 @@ class TestDecompose:
             assert int(np.sum(f.s == 0)) == f.r - f.r_b
             assert int(np.sum(f.c == 0)) == f.r - f.r_a
 
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="a cut below B's roundoff keeps a sine of 5.1e-16; its column leads the "
+               "Householder QR of the sine columns, so every later V column is "
+               "orthogonalized against roundoff and V S H misses B by 1.04 relative")
+    def test_zero_tolerance_b_block_reconstructs(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((12, 8))
+        b = rng.standard_normal((9, 8))
+        b[:, 0] = b[:, 1]
+        f = gsvd.gsvd_decompose(a, b, Tolerance(rel=0.0))
+        assert np.linalg.norm(f.v @ f.s_matrix() @ f.h - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestTallB:
     # B far taller than n: V is m2 x m2 with only r_b columns fixed by the
@@ -728,7 +741,7 @@ class TestHelperThread:
         monkeypatch.setattr(scipy.linalg, "qr", fail)
         with pytest.raises(np.linalg.LinAlgError, match="QR failed"):
             gsvd.gsvd_decompose(a, b)
-        assert "gsvd-helper" not in [t.name for t in threading.enumerate()]
+        assert not [t for t in threading.enumerate() if t.name.startswith("gsvd-helper")]
 
     def test_helper_second_stage_error_is_raised_on_the_caller(self, rng, monkeypatch):
         # The singular values of a and b are the helper's second stage; the
@@ -744,7 +757,7 @@ class TestHelperThread:
         monkeypatch.setattr(matcore, "_svdvals", fail_on_a_block)
         with pytest.raises(np.linalg.LinAlgError, match="block SVD failed"):
             gsvd.gsvd_decompose(a, b)
-        assert "gsvd-helper" not in [t.name for t in threading.enumerate()]
+        assert not [t for t in threading.enumerate() if t.name.startswith("gsvd-helper")]
 
     def test_no_thread_to_start_runs_on_the_caller(self, rng, monkeypatch):
         # Thread.start raises RuntimeError past the process's thread limit

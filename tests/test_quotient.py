@@ -37,6 +37,11 @@ class TestTrigTable:
                                    atol=1e-12)
         assert cos_row.max_dev <= 1e-12
 
+    def test_unknown_row_raises_key_error(self):
+        table = quotient.trig_table(gsvd.gsvd_decompose(DIAG34, ROW11), DIAG34, ROW11)
+        with pytest.raises(KeyError):
+            table.row("sec")
+
     def test_cot_not_applicable_with_infinite_values(self):
         f = gsvd.gsvd_decompose(DIAG34, ROW11)
         table = quotient.trig_table(f, DIAG34, ROW11)
@@ -222,9 +227,9 @@ class TestHorizontalProjector:
 
     @pytest.mark.xfail(
         raises=NumericalCheckFailed, strict=True,
-        reason="B small beside A: null(B) and A N now read r_b from the factors, "
-               "but the c = 1 columns of U come from the SVD of Qa alone and miss "
-               "the 1e-10 projector cross-check (ROADMAP item 1)")
+        reason="no gap at the cut: B's singular values are 2.68, 1.72 and 0.917 "
+               "times the stacked cutoff, so r_b = 2 though B has rank 3, and the "
+               "null(B) reference is not the GSVD's c = 1 plane (ROADMAP item 9)")
     def test_tiny_b_pair_at_the_stacked_rank_passes_the_cross_check(self):
         # r_b = 2 at the stacked pair's cutoff, against rank 3 at B's own scale
         rng = np.random.default_rng(0)

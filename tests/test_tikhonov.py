@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,13 @@ class TestLambdaFactors:
             np.testing.assert_allclose(np.sort(lf.s_lambda), np.sort(fresh.s),
                                        atol=1e-9)
 
+    def test_damping_matches_the_path(self, rng):
+        # cos^2 of the scaled cosines against the path's c^2 / (c^2 + lam^2 s^2)
+        p = random_problem(rng)
+        for lam, _, damp in tikhonov.solve_path(p, [0.0, 0.1, 1.0, 10.0]):
+            np.testing.assert_allclose(tikhonov.lambda_factors(p, lam).damping(), damp,
+                                       rtol=0, atol=1e-15)
+
     def test_negative_lambda_rejected(self, rng):
         p = random_problem(rng)
         with pytest.raises(ValueError):
@@ -150,6 +160,24 @@ class TestSolvePath:
                 xn = normal_equations_solve(p, lam)
                 assert relative_gap(x, xn) <= 1e-7
 
+    def test_huge_lambda_reaches_the_limit(self, rng):
+        # lam**2 overflows past about 1.3e154; a finite lambda beyond still
+        # damps null(L) by exactly 1 and every other direction to nothing,
+        # leaving the least-squares solution within null(L) = span(ones).
+        p = tikhonov.TikhonovProblem(rng.standard_normal((6, 3)), np.diff(np.eye(3), axis=0),
+                                     rng.standard_normal(6))
+        s = tikhonov.base_factors(p).s
+        assert np.count_nonzero(s == 0) == 1
+        a1 = p.a @ np.ones(3)
+        want = np.full(3, a1 @ p.b / (a1 @ a1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = tikhonov.solve_path(p, [1e155, 1e200, sys.float_info.max])
+        for _, x, damp in path:
+            assert np.all(damp[s == 0] == 1.0)
+            assert np.all(damp[s > 0] <= 1e-300)
+            np.testing.assert_allclose(x, want, rtol=1e-12)
+
 
 class TestDirectSolve:
     def test_scalar(self):
@@ -165,7 +193,9 @@ class TestDirectSolve:
 
 
 class TestLambdaDomain:
-    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf, "1", None, 10**400, True],
+                             ids=["negative", "nan", "inf", "string", "none",
+                                  "past the float range", "bool"])
     def test_every_route_rejects(self, rng, lam):
         # inf * 0 would put NaN where s_i = 0; NaN fails every comparison
         p = random_problem(rng)
