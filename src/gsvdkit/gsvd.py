@@ -212,11 +212,25 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     followed by the columns themselves; H = W' R moved back to the
     original column order.
 
-    A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix)
-    gets a one-thread `concurrent.futures.ThreadPoolExecutor` made for the
-    call: its thread takes the pivoted QR and then the singular values of
-    a and b, while the caller's thread takes those of the stacked pair and
-    the SVD of Qa.  Each of these stages runs LAPACK without the
+    A tall A, with m1 > n and m1 >= floor(11 n / 6) rows, is first
+    triangularized by one blocked Householder QR, A = Q_A [R_A; 0], as
+    LAPACK's GSVD preprocessing and R-SVD do.  The stacked singular
+    values, the pivoted QR and the SVD of Qa then take the (n + m2) x n
+    pair [R_A; B], which has the singular values of [A; B], and U comes
+    back as Q_A [U_R; 0], or Q_A blockdiag(U_R, I) in full format, from
+    the SVD U_R C W' of the R_A rows.  The crossover is the one LAPACK's
+    dgesdd uses to take a QR before its SVD: below it the QR can cost
+    more than it saves.  B is never triangularized.  The singular values of A
+    and B, and so r_a and r_b, are taken of the blocks as given, and the
+    cut stays at the (m1 + m2) x n shape; sigma_max, and so r, is read
+    from [R_A; B].
+
+    A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix
+    the stages take, [R_A; B] for a tall A) gets a one-thread
+    `concurrent.futures.ThreadPoolExecutor` made for the call: its thread
+    takes the pivoted QR and then the singular values of a and b, while
+    the caller's thread takes those of the stacked pair and the SVD of
+    Qa.  Each of these stages runs LAPACK without the
     interpreter lock, so the two threads overlap; the singular values are
     taken through `matcore._svdvals` because NumPy's values-only SVD keeps
     the lock up to about 500 columns.  Every call gets the input it gets
@@ -244,8 +258,10 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     `compact(gsvd_decompose(a, b))`, and the left-nullspace completions
     are never formed: U is the thin SVD of Qa cut to its r_a leading
     columns, so the m1 - r_a columns spanning the left nullspace of A are
-    skipped; V is the Householder Q applied to [I_rb; 0] only (m2 x r_b),
-    so the m2 - r_b completion columns are skipped.  W is still completed
+    skipped (for a tall A, Q_A meets [U_R; 0] alone, and in full format
+    that same block first, then the completion columns in a second call);
+    V is the Householder Q applied to [I_rb; 0] only (m2 x r_b), so the
+    m2 - r_b completion columns are skipped.  W is still completed
     to r x r when m1 < r.  U, C, S, H and the ranks match the full route
     bit for bit; V can differ by roundoff, since the blocked reflectors
     meet a narrower right-hand side.
@@ -266,9 +282,13 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
             f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
         )
     m1, m2 = a.shape[0], b.shape[0]
-    stacked = np.vstack([a, b])
-    # views of the stacked copy, so the validated copies are freed
-    a, b = stacked[:m1], stacked[m1:]
+    stacked, qr_a = _stacked(a, b)
+    # views of the stacked copy, so the validated copies are freed; a
+    # triangularized a is kept for its singular values
+    top = stacked.shape[0] - m2
+    b = stacked[top:]
+    if qr_a is None:
+        a = stacked[:m1]
 
     # The helper's stages; sv_ab is read after the SVD of Qa, where r_a and
     # r_b are first needed.  as_matrix has rejected non-finite entries, so
@@ -278,11 +298,13 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
                                                    check_finite=False))
         sv_ab = _beside(pool, lambda: (matcore._svdvals(a), matcore._svdvals(b)))
         sv_st = matcore._svdvals(stacked)
-        cut = tol.cutoff(stacked.shape, sv_st[0])
+        cut = tol.cutoff((m1 + m2, a.shape[1]), sv_st[0])
         r = matcore._count_above(sv_st, cut)
         q, rmat, perm = qr()
-        qa, qb = q[:m1, :r], q[m1:, :r]
+        qa, qb = q[:top, :r], q[top:, :r]
         u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
+        if qr_a is not None:
+            u, w = _lifted(qr_a, u, w, compact)
         sv_a, sv_b = sv_ab()
     r_a, r_b = matcore._count_above(sv_a, cut), matcore._count_above(sv_b, cut)
 
@@ -325,6 +347,39 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     return GsvdFactors(u=u, v=v, c=c, s=s, h=h, v_start=skip, compact=compact), sv_a
 
 
+def _stacked(a: np.ndarray, b: np.ndarray):
+    # (the stacked matrix the rank and QR stages take, the Householder QR
+    # a = Q_A [R_A; 0] or None): [R_A; b] for a tall a, past dgesdd's own
+    # crossover to a QR first, else [a; b].  Both have the singular
+    # values of [a; b], and the rows of R_A stand for those of a.
+    m1, n = a.shape
+    if m1 > n and m1 >= 11 * n // 6:
+        qr_a = matcore._householder(a)
+        return np.vstack([np.triu(qr_a[0][:n]), b]), qr_a
+    return np.vstack([a, b]), None
+
+
+def _lifted(qr_a, u_r: np.ndarray, w: np.ndarray, compact: bool):
+    # (U, W) for a triangularized a, from the oriented SVD Qa = U_R C W' of
+    # the R_A rows: U = Q_A [U_R; 0] (m1 x r) compact, Q_A blockdiag(U_R, I)
+    # (m1 x m1) full, oriented by its own leading entries with W's columns
+    # flipped in tandem, as `matcore._svd` orients an SVD of the m1 rows.
+    # Q_A meets the same [U_R[:, :r]; 0] in both formats and the completion
+    # columns in a second call, so compact U is full U's leading columns
+    # bit for bit.
+    m1, n = qr_a[0].shape
+    r = w.shape[0]
+    u = np.zeros((m1, r if compact else m1), order="F")
+    u[:n, :u_r.shape[1]] = u_r
+    np.fill_diagonal(u[n:, n:], 1.0)
+    for block in (u[:, :r], u[:, r:]):
+        if block.shape[1]:
+            matcore._apply_q(qr_a, block)
+    signs = matcore._leading_signs(u)
+    u *= signs
+    return u, w * signs[:r]
+
+
 # An m x n stacked pair with m * n * min(m, n) below this, the order of
 # the flops of its QR and of each singular-value pass, decomposes on the
 # caller's thread alone.  Starting the helper costs 0.5-1 ms.  On a
@@ -361,11 +416,11 @@ def _beside(pool, stage):
     return stage
 
 
-def _ranks(a: np.ndarray, b: np.ndarray, stacked: np.ndarray, tol: Tolerance):
-    # (r, r_a, r_b) for the pair and its stacked matrix [a; b], decided as
-    # `gsvd_decompose` decides them.
-    sv_st = matcore._svdvals(stacked)
-    cut = tol.cutoff(stacked.shape, sv_st[0])
+def _ranks(a: np.ndarray, b: np.ndarray, tol: Tolerance):
+    # (r, r_a, r_b) for the pair, decided as `gsvd_decompose` decides them:
+    # r from the singular values of the same stacked matrix.
+    sv_st = matcore._svdvals(_stacked(a, b)[0])
+    cut = tol.cutoff((a.shape[0] + b.shape[0], a.shape[1]), sv_st[0])
     return tuple(matcore._count_above(sv, cut)
                  for sv in (sv_st, matcore._svdvals(a), matcore._svdvals(b)))
 

@@ -202,21 +202,36 @@ def _leading_signs(x: np.ndarray) -> np.ndarray:
     return np.where(lead < -1e-12, -1.0, 1.0)
 
 
-def _qr_apply(x: np.ndarray, c: np.ndarray):
-    # (Q @ c, diag(R)) for the Householder QR x = Q R of a tall x (rows >=
-    # cols).  The reflectors are kept in compact-WY form (dgeqrt) and
-    # applied in blocks (dgemqrt), so Q is never formed and the work is
-    # matrix-matrix even when x has few columns.  A Fortran-ordered float64
-    # c is overwritten in place.  An x with no columns has Q = I, so c comes
-    # back unchanged: empty blocks and rank 0 need no route of their own.
-    if x.shape[1] == 0:
-        return c, np.zeros(0)
+def _householder(x: np.ndarray):
+    # The Householder QR x = Q R of a tall x (rows >= cols >= 1) as
+    # (reflectors, T): the reflectors below the diagonal with R on and
+    # above it, kept in compact-WY form (dgeqrt) for `_apply_q`.  x is not
+    # overwritten.
     refl, t, info = lapack.dgeqrt(min(x.shape[1], _QR_BLOCK), x)
-    if info == 0:
-        c, info = lapack.dgemqrt(refl, t, c, overwrite_c=1)
     if info != 0:
         raise ValueError(f"Householder QR failed: LAPACK info {info}")
-    return c, np.diag(refl).copy()
+    return refl, t
+
+
+def _apply_q(qr, c: np.ndarray) -> np.ndarray:
+    # Q @ c for qr = _householder(x), the reflectors applied in blocks
+    # (dgemqrt), so Q is never formed and the work is matrix-matrix even
+    # when x has few columns.  A Fortran-ordered float64 c, a column slice
+    # of a Fortran-ordered array included, is overwritten in place.
+    c, info = lapack.dgemqrt(*qr, c, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"Householder QR failed: LAPACK info {info}")
+    return c
+
+
+def _qr_apply(x: np.ndarray, c: np.ndarray):
+    # (Q @ c, diag(R)) for the Householder QR x = Q R of a tall x (rows >=
+    # cols).  An x with no columns has Q = I, so c comes back unchanged:
+    # empty blocks and rank 0 need no route of their own.
+    if x.shape[1] == 0:
+        return c, np.zeros(0)
+    qr = _householder(x)
+    return _apply_q(qr, c), np.diag(qr[0]).copy()
 
 
 def _completed(q: np.ndarray) -> np.ndarray:

@@ -147,8 +147,17 @@ def solve_path(p: TikhonovProblem, lambdas):
 
 
 def direct_solve(p: TikhonovProblem, lam: float) -> np.ndarray:
-    """Stacked least-squares reference: argmin ||[A; lam L] x - [b; 0]||."""
+    """Stacked least-squares reference: argmin ||[A; lam L] x - [b; 0]||.
+
+    Solved by one Householder QR of [lam L; A], the large rows first and
+    no rank cut: A has full column rank, so R is nonsingular at every
+    lambda.  A cut relative to the largest singular value, as in
+    `np.linalg.lstsq`, would drop A's part on null(L) once lam ||L||
+    dwarfs ||A||, where the solution tends to the least-squares one
+    within null(L).  Past lambda = 1 the system is divided by lambda,
+    which leaves its solution unchanged and keeps lam L from overflowing.
+    """
     lam = _check_lambda(lam)
-    stacked = np.vstack([p.a, lam * p.l])
-    rhs = np.concatenate([p.b, np.zeros(p.l.shape[0])])
-    return np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+    t = max(lam, 1.0)
+    q, r = np.linalg.qr(np.vstack([(lam / t) * p.l, p.a / t]))
+    return scipy.linalg.solve_triangular(r, q[p.l.shape[0]:].T @ (p.b / t))

@@ -863,3 +863,16 @@ class TestEmptyOutputs:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert cli.main(["verify", a, b, out]) == 2
+
+
+class TestTallPair:
+    # A with more than floor(11 n / 6) rows is triangularized before the
+    # GSVD stages; verify judges the ranks on the same stacked matrix.
+    @pytest.mark.parametrize("flags", [[], ["--compact"]])
+    def test_gsvd_then_verify(self, tmp_path, flags):
+        rng = np.random.default_rng(11)
+        pa, pb, out = (str(tmp_path / name) for name in ("a.csv", "b.csv", "factors.json"))
+        cli.write_matrix(pa, rng.standard_normal((60, 8)))
+        cli.write_matrix(pb, rng.standard_normal((5, 8)))
+        assert cli.main(["gsvd", pa, pb, *flags, "--json", out]) == 0
+        assert cli.main(["verify", pa, pb, out]) == 0

@@ -813,3 +813,69 @@ class TestHelperThread:
         for f, g, (pa, pb, out) in zip(serial, got, paths):
             assert _same_bits(f, g)
             assert cli.main(["verify", pa, pb, out]) == 0
+
+
+TALL_A_CASES = {
+    "gaussian": lambda rng: (rng.standard_normal((40, 10)), rng.standard_normal((5, 10))),
+    "rank_deficient": lambda rng: random_pair(rng, 40, 6, 12, rank_a=5, rank_b=4,
+                                              common_null=3),
+    "a_zero": lambda rng: (np.zeros((20, 3)), rng.standard_normal((4, 3))),
+    "b_zero": lambda rng: (rng.standard_normal((20, 3)), np.zeros((4, 3))),
+    "r_zero": lambda rng: (np.zeros((20, 3)), np.zeros((4, 3))),
+    "one_column": lambda rng: (rng.standard_normal((5, 1)), rng.standard_normal((2, 1))),
+    "at_the_crossover": lambda rng: (rng.standard_normal((22, 12)), rng.standard_normal((3, 12))),
+    "below_the_crossover": lambda rng: (rng.standard_normal((21, 12)),
+                                        rng.standard_normal((3, 12))),
+}
+
+
+class TestTallA:
+    # A with m1 >= floor(11 n / 6) rows is triangularized, A = Q_A [R_A; 0],
+    # before the rank and QR stages, which then take [R_A; B].
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("case", list(TALL_A_CASES))
+    def test_invariants_and_ranks(self, rng, case, compact):
+        a, b = TALL_A_CASES[case](rng)
+        f = gsvd.gsvd_decompose(a, b, compact=compact)
+        check_factor_invariants(f, a, b)
+        want = (matcore.numerical_rank(np.vstack([a, b])), matcore.numerical_rank(a),
+                matcore.numerical_rank(b))
+        assert (f.r, f.r_a, f.r_b) == want
+        assert gsvd._ranks(a, b, Tolerance()) == want
+        # U is oriented by its own leading entries, whichever rows it came from
+        assert np.all(matcore._leading_signs(f.u) == 1.0)
+        if not compact:
+            assert f.u.shape == (a.shape[0], a.shape[0])
+            assert np.linalg.norm(f.u[:, f.r_a:].T @ a) <= 1e-13 * max(np.linalg.norm(a), 1.0)
+
+    @pytest.mark.parametrize("m1, m2, n, tall", [
+        (22, 3, 12, True), (21, 3, 12, False), (5, 2, 3, True), (4, 2, 3, False),
+        (2, 2, 1, True), (1, 2, 1, False), (40, 50, 10, True), (3, 40, 4, False)])
+    def test_route_follows_the_crossover(self, rng, monkeypatch, m1, m2, n, tall):
+        # The stacked singular values are taken of [R_A; B] past the
+        # crossover and of [A; B] below it; A and B are never replaced.
+        calls = []
+        svdvals = matcore._svdvals
+        monkeypatch.setattr(matcore, "_svdvals", lambda x: calls.append(x.shape) or svdvals(x))
+        a, b = rng.standard_normal((m1, n)), rng.standard_normal((m2, n))
+        gsvd.gsvd_decompose(a, b)
+        assert calls == [((n if tall else m1) + m2, n), (m1, n), (m2, n)]
+
+    @pytest.mark.parametrize("m1, m2, n", [(1800, 2, 3), (2000, 199, 200), (40, 5, 10)])
+    def test_compact_route_matches_compacted_full_factors(self, rng, m1, m2, n):
+        a, b = rng.standard_normal((m1, n)), rng.standard_normal((m2, n))
+        ref = gsvd.compact(gsvd.gsvd_decompose(a, b))
+        fc = gsvd.gsvd_decompose(a, b, compact=True)
+        for name in ("u", "c", "s", "h", "v_col_of"):
+            np.testing.assert_array_equal(getattr(fc, name), getattr(ref, name), err_msg=name)
+        np.testing.assert_allclose(fc.v, ref.v, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rel", [None, 1e-10, 0.0])
+    def test_ranks_judge_the_pair_as_decompose_does(self, rng, rel):
+        # near-cutoff values: a rank-5 A and rank-4 B plus noise at 1e-13
+        a, b = random_pair(rng, 40, 6, 12, rank_a=5, rank_b=4, common_null=3)
+        a = a + 1e-13 * rng.standard_normal(a.shape)
+        b = b + 1e-13 * rng.standard_normal(b.shape)
+        tol = Tolerance(rel)
+        f = gsvd.gsvd_decompose(a, b, tol)
+        assert gsvd._ranks(a, b, tol) == (f.r, f.r_a, f.r_b)

@@ -192,6 +192,18 @@ class TestDirectSolve:
                                    atol=1e-12)
 
 
+class TestDirectSolveAtLargeLambda:
+    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e300, sys.float_info.max])
+    def test_keeps_the_part_on_null_l(self, lam):
+        # The limit is the least-squares solution within null(L) =
+        # span([1, 1]); a cut relative to lam ||L|| drops A's part there
+        # and returns 0 from about 1e16 up.
+        p = tikhonov.TikhonovProblem([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0]],
+                                     [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(tikhonov.direct_solve(p, lam), [1.5, 1.5], rtol=1e-12)
+        np.testing.assert_allclose(tikhonov.solve_path(p, [lam])[0][1], [1.5, 1.5], rtol=1e-12)
+
+
 class TestLambdaDomain:
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf, "1", None, 10**400, True],
                              ids=["negative", "nan", "inf", "string", "none",
