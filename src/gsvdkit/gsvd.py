@@ -24,7 +24,9 @@ from `v_start`, at V's right end in the bottom-aligned convention
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -226,21 +228,29 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     from [R_A; B].
 
     A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix
-    the stages take, [R_A; B] for a tall A) gets a one-thread
+    the stages take, [R_A; B] for a tall A), in a process where every BLAS
+    library it has loaded reports one thread, gets a one-thread
     `concurrent.futures.ThreadPoolExecutor` made for the call: its thread
     takes the pivoted QR and then the singular values of a and b, while
     the caller's thread takes those of the stacked pair and the SVD of
-    Qa.  Each of these stages runs LAPACK without the
+    Qa.  The helper's stages and the caller's SVDs run LAPACK without the
     interpreter lock, so the two threads overlap; the singular values are
     taken through `matcore._svdvals` because NumPy's values-only SVD keeps
-    the lock up to about 500 columns.  Every call gets the input it gets
-    on one thread, so the factors are the same bit for bit; with
-    multi-threaded BLAS the two threads share its cores.  An error on the
-    helper is raised on the caller's thread.  The pool is shut down before
-    the call returns or raises, so nothing is left running and a process
-    may fork after it has decomposed.  Smaller pairs, and calls where no
-    thread can be started (as in an atexit handler), run every stage on
-    the caller's thread, each where its result is first read.
+    the lock up to about 500 columns.  The Householder completions of U
+    and W keep it (SciPy's f2py `dgeqrt` and `dgemqrt`).  Every call gets
+    the input it gets on one thread, so the factors are the same bit for
+    bit.  An error on the helper is raised on the caller's thread.  The
+    pool is shut down before the call returns or raises, so nothing is
+    left running and a process may fork after it has decomposed.
+
+    Smaller pairs run every stage on the caller's thread, each where its
+    result is first read, and so do calls where a BLAS runs more than one
+    thread or reports no count (a BLAS other than OpenBLAS, or a platform
+    without `dl_iterate_phdr`): the helper and BLAS's own threads would
+    contend for the cores, and on a 2-core host with OpenBLAS's default of
+    two threads the helper made the 1200/1000 x 800 gate slower than
+    the serial route.  So do calls where no thread can be started (as in
+    an atexit handler).  The thread counts are read, never set.
 
     The QR is cut at the SVD rank even where its own diagonal would say
     otherwise, so there is no second route.  H = W' R[:r] has full row
@@ -392,15 +402,70 @@ _HELPER_MIN_WORK = 5 * 10**6
 
 
 def _helper(shape):
-    # A one-thread pool for a pair at or above _HELPER_MIN_WORK, else a
-    # context holding None.  The pool is made per call and shut down on
-    # leaving its `with`, never kept at module level: a kept thread does
-    # not survive a fork, and a forked child's decomposition would wait on
-    # it forever.
+    # A one-thread pool for a pair at or above _HELPER_MIN_WORK when every
+    # BLAS the process has loaded reports one thread, else a context
+    # holding None: with multi-threaded BLAS the helper and BLAS's own
+    # threads contend for the cores.  The pool is made per call and shut
+    # down on leaving its `with`, never kept at module level: a kept thread
+    # does not survive a fork, and a forked child's decomposition would
+    # wait on it forever.
     m, n = shape
-    if m * n * min(m, n) < _HELPER_MIN_WORK:
+    if m * n * min(m, n) < _HELPER_MIN_WORK or _blas_threads() != 1:
         return contextlib.nullcontext()
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gsvd-helper")
+
+
+# File-name prefixes of the BLAS libraries a process can load (NumPy's and
+# SciPy's wheels each bundle a scipy_openblas), and the names OpenBLAS
+# builds give the function returning their thread count.
+_BLAS_PREFIXES = (b"libopenblas", b"libscipy_openblas", b"libmkl_rt", b"libblis",
+                  b"libflexiblas")
+_OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+
+
+class _DlPhdrInfo(ctypes.Structure):
+    # The leading fields of the C library's struct dl_phdr_info.
+    _fields_ = [("dlpi_addr", ctypes.c_void_p), ("dlpi_name", ctypes.c_char_p)]
+
+
+_PHDR_VISITOR = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_DlPhdrInfo), ctypes.c_size_t,
+                                 ctypes.c_void_p)
+
+
+def _blas_threads():
+    # The largest thread count among the BLAS libraries this process has
+    # loaded, or None when none is found or one count cannot be read (a
+    # BLAS other than OpenBLAS, or a platform without dl_iterate_phdr).
+    # The technique is threadpoolctl's (https://github.com/joblib/threadpoolctl):
+    # list the loaded shared objects, keep the BLAS ones by file name and
+    # ask each through ctypes.  RTLD_NOLOAD opens only a library already
+    # loaded, and no count is set.  About 0.1 ms, paid only by pairs large
+    # enough for the helper.
+    iterate = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None) if os.name == "posix" else None
+    if iterate is None:
+        return None
+    names = []
+
+    def visit(info, size, data):
+        names.append(info[0].dlpi_name)
+        return 0
+
+    visitor = _PHDR_VISITOR(visit)
+    iterate.argtypes, iterate.restype = [_PHDR_VISITOR, ctypes.c_void_p], ctypes.c_int
+    iterate(visitor, None)
+    counts = []
+    for path in [x for x in names if x and x.rpartition(b"/")[2].startswith(_BLAS_PREFIXES)]:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:  # no longer loaded
+            return None
+        get = next((getattr(lib, f) for f in _OPENBLAS_THREADS if hasattr(lib, f)), None)
+        if get is None:
+            return None
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts.append(get())
+    return max(counts, default=None)
 
 
 def _beside(pool, stage):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .errors import DomainError, InvalidDimensions, UnsupportedBeta
 from .matcore import _as_real, _is_integer
@@ -166,6 +165,8 @@ def jacobi_log_density(params: JacobiParams, lambdas) -> float:
         raise DomainError("eigenvalues must lie strictly inside (0, 1)")
     if np.any(np.diff(lam) == 0.0):
         raise DomainError("eigenvalues must be distinct")
+    from scipy.special import gammaln  # off the import path: about 40 ms
+
     beta = params.beta
     a1, a2, p = params.a1, params.a2, params.p
     j = np.arange(1, params.n + 1)
@@ -206,6 +207,8 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
     ks = None
     if params.n == 1:
         # the Beta CDF, without loading scipy.stats
+        from scipy.special import betainc
+
         x = np.sort(draws[:, 0])
         cdf = betainc(params.a1 - params.p + 1, params.a2 - params.p + 1, x)
         grid = np.arange(1, n_samples + 1) / n_samples

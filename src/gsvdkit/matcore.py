@@ -193,13 +193,23 @@ def numerical_rank(m) -> int:
 
 def _leading_signs(x: np.ndarray) -> np.ndarray:
     # Column signs (+1 or -1) making each column's leading significant entry
-    # (first with magnitude above 1e-12) nonnegative.  A column with no such
-    # entry reads row 0, which is then insignificant and keeps sign +1.  A
-    # matrix with no rows has no entry to read, and every column keeps +1.
-    if x.shape[0] == 0:
-        return np.ones(x.shape[1])
-    lead = x[np.argmax(np.abs(x) > 1e-12, axis=0), np.arange(x.shape[1])]
-    return np.where(lead < -1e-12, -1.0, 1.0)
+    # (first with magnitude above 1e-12) nonnegative; a column with no such
+    # entry, and every column of a matrix with no rows, keeps +1.  Row 0
+    # decides almost every column of a dense factor, so the rows are read
+    # in blocks of 1, 2, 4, ... rows, each copying only the columns still
+    # undecided: no matrix-sized scratch, and about O(m) reads, not O(m^2).
+    signs = np.ones(x.shape[1])
+    cols = np.arange(x.shape[1])
+    top, rows = 0, 1
+    while cols.size and top < x.shape[0]:
+        block = x[top:top + rows].take(cols, axis=1)
+        hit = np.abs(block) > 1e-12
+        found = hit.any(axis=0)
+        lead = block[hit.argmax(axis=0), np.arange(cols.size)]
+        signs[cols[found & (lead < 0)]] = -1.0
+        cols = cols[~found]
+        top, rows = top + rows, 2 * rows
+    return signs
 
 
 def _householder(x: np.ndarray):

@@ -41,3 +41,14 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special adds about 40 ms to a cold `import gsvdkit, gsvdkit.cli`;
+    # jacobi imports it inside the two functions that need it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gsvdkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gsvdkit, gsvdkit.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -714,6 +714,12 @@ def _same_bits(f, g):
 
 
 class TestHelperThread:
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        # The helper starts only when every loaded BLAS runs one thread, and
+        # these tests need it started whatever the BLAS thread count is.
+        monkeypatch.setattr(gsvd, "_blas_threads", lambda: 1)
+
     # Python 3.12 warns on a fork while BLAS worker threads are alive,
     # which they are when the BLAS thread count is not pinned to 1.
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -813,6 +819,54 @@ class TestHelperThread:
         for f, g, (pa, pb, out) in zip(serial, got, paths):
             assert _same_bits(f, g)
             assert cli.main(["verify", pa, pb, out]) == 0
+
+
+class TestHelperRule:
+    @pytest.mark.parametrize("threads, started", [(1, True), (2, False), (None, False)])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_helper_only_at_one_blas_thread(self, rng, monkeypatch, threads, started, compact):
+        # Both routes give the same factors bit for bit; the pivoted QR
+        # runs on the helper only when every loaded BLAS reads one thread,
+        # and not when a count reads more or cannot be read.
+        a, b = _above_the_cut(rng, 150, 100, 200)
+        monkeypatch.setattr(gsvd, "_blas_threads", lambda: 1)
+        want = gsvd.gsvd_decompose(a, b, compact=compact)
+        qr, ran_on = scipy.linalg.qr, []
+
+        def qr_here(*args, **kwargs):
+            ran_on.append(threading.current_thread().name)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", qr_here)
+        monkeypatch.setattr(gsvd, "_blas_threads", lambda: threads)
+        assert _same_bits(gsvd.gsvd_decompose(a, b, compact=compact), want)
+        assert len(ran_on) == 1
+        assert ran_on[0].startswith("gsvd-helper") == started
+
+    def test_small_pairs_do_not_read_the_blas(self, monkeypatch):
+        def unread():
+            raise AssertionError("read the BLAS thread count")
+
+        monkeypatch.setattr(gsvd, "_blas_threads", unread)
+        with gsvd._helper((250, 80)) as pool:
+            assert pool is None
+
+    def test_pinned_blas_reads_one_thread(self):
+        if gsvd._blas_threads() is None:
+            pytest.skip("no loaded BLAS reports its thread count here")
+        code = "from gsvdkit import gsvd; print(gsvd._blas_threads())"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("prefixes", [(), (b"libc.",) + gsvd._BLAS_PREFIXES],
+                             ids=["no BLAS", "one unreadable"])
+    def test_no_count_when_one_cannot_be_read(self, monkeypatch, prefixes):
+        # No BLAS found, or one without OpenBLAS's thread-count function
+        # beside those with it (libc stands in for MKL or BLIS): None.
+        monkeypatch.setattr(gsvd, "_BLAS_PREFIXES", prefixes)
+        assert gsvd._blas_threads() is None
 
 
 TALL_A_CASES = {

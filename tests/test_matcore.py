@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,14 +110,36 @@ class TestFullSvd:
     def test_leading_signs_match_column_loop(self, rng):
         # entries at and around the 1e-12 significance threshold, signed zeros
         values = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12, 0.5, -0.5])
-        for _ in range(200):
-            x = rng.choice(values, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        inputs = [rng.choice(values, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+                  for _ in range(200)]
+        # tall matrices whose leading significant entries lie at or past the
+        # end of the early blocks of rows read (1, 2, 4, ...); columns 0 and
+        # 6 have no significant entry
+        for depth in (1, 2, 3, 6, 7, 64, 150, 298, 299):
+            x = rng.choice(values[:4], size=(300, 7))
+            x[depth:, 1:6] = rng.choice(values, size=(300 - depth, 5))
+            x[depth, 1:3] = -0.5, 2e-12
+            inputs += [x, np.asfortranarray(x[::-1])]
+        inputs += [np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((0, 0)), -np.ones((0, 2))]
+        for x in inputs:
             expected = np.ones(x.shape[1])
             for j in range(x.shape[1]):
                 idx = np.flatnonzero(np.abs(x[:, j]) > 1e-12)
                 if idx.size and x[idx[0], j] < 0:
                     expected[j] = -1.0
             np.testing.assert_array_equal(matcore._leading_signs(x), expected)
+
+    def test_leading_signs_scratch_is_small(self, rng):
+        # Rows are read in growing blocks of the undecided columns; a copy
+        # of |x| and a matrix-sized mask took 36 MB on this input.
+        x = rng.standard_normal((2000, 2000))
+        tracemalloc.start()
+        try:
+            matcore._leading_signs(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 # Reflector counts on both sides of the compact-WY block size (32) and of

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ class TestClusterDesign:
             ones = np.ones(p)
             assert np.linalg.norm(design.u2.T @ ones) <= 1e-10
             assert np.linalg.norm(design.u3.T @ design.indicator) <= 1e-10
+
+    def test_traced_peak_near_the_split(self):
+        # The p x p U is the only large array the design needs; orienting it
+        # through a copy of |U| and a p x p mask doubled the peak.
+        tracemalloc.start()
+        try:
+            design = stats.cluster_design((600, 600, 600))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * design.u_split.nbytes
 
     def test_invalid_partition(self):
         with pytest.raises(InvalidPartition):
