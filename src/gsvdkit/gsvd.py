@@ -209,39 +209,46 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     columns; an SVD Qa = U C W' yields U and the cosines (singular values
     of an orthonormal-column submatrix lie in [0, 1]); the columns of Qb W
     are then exactly orthogonal with norms s_i, so V comes from one
-    Householder QR of the normalized columns, whose blocked reflectors,
-    applied to a column-rotated identity, give the orthogonal complement
-    followed by the columns themselves; H = W' R moved back to the
-    original column order.
+    Householder QR of the normalized columns, taken largest sine first so
+    that a column of roundoff (a sine kept by a cut below B's roundoff)
+    comes last and spoils no other, whose blocked reflectors, applied to
+    a column-rotated identity, give the orthogonal complement followed by
+    the columns themselves; H = W' R moved back to the original column
+    order.
 
-    A tall A, with m1 > n and m1 >= floor(11 n / 6) rows, is first
-    triangularized by one blocked Householder QR, A = Q_A [R_A; 0], as
-    LAPACK's GSVD preprocessing and R-SVD do.  The stacked singular
-    values, the pivoted QR and the SVD of Qa then take the (n + m2) x n
-    pair [R_A; B], which has the singular values of [A; B], and U comes
-    back as Q_A [U_R; 0], or Q_A blockdiag(U_R, I) in full format, from
-    the SVD U_R C W' of the R_A rows.  The crossover is the one LAPACK's
-    dgesdd uses to take a QR before its SVD: below it the QR can cost
-    more than it saves.  B is never triangularized.  The singular values of A
-    and B, and so r_a and r_b, are taken of the blocks as given, and the
-    cut stays at the (m1 + m2) x n shape; sigma_max, and so r, is read
-    from [R_A; B].
+    Each tall block, with m > n and m >= floor(11 n / 6) rows, is first
+    triangularized by one blocked Householder QR, A = Q_A [R_A; 0] or
+    B = Q_B [R_B; 0], as LAPACK's GSVD preprocessing and R-SVD do.  The
+    stacked singular values, the pivoted QR and the SVD of Qa then take
+    the pair with each tall block replaced by its n rows of R, which has
+    the singular values of [A; B].  U comes back as Q_A [U_R; 0], or
+    Q_A blockdiag(U_R, I) in full format, from the SVD U_R C W' of the R_A
+    rows; V comes back as Q_B [V_R; 0] compact, and in full format as Q_B
+    applied to V_R's complement columns, then [0; I] for Q_B's trailing
+    m2 - n columns, then V_R's sine block, from the V_R of the R_B rows.
+    The crossover is the one LAPACK's dgesdd uses to take a QR before its
+    SVD: below it the QR can cost more than it saves.  The singular values
+    that decide r_a and r_b are those of the stacked matrix's A and B rows,
+    R_A and R_B for a tall block, which agree with the blocks' own to about
+    1e-15 relative; the cut stays at the (m1 + m2) x n shape, and
+    sigma_max, and so r, is read from the stacked matrix.
 
     A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix
-    the stages take, [R_A; B] for a tall A), in a process where every BLAS
-    library it has loaded reports one thread, gets a one-thread
-    `concurrent.futures.ThreadPoolExecutor` made for the call: its thread
-    takes the pivoted QR and then the singular values of a and b, while
-    the caller's thread takes those of the stacked pair and the SVD of
-    Qa.  The helper's stages and the caller's SVDs run LAPACK without the
-    interpreter lock, so the two threads overlap; the singular values are
-    taken through `matcore._svdvals` because NumPy's values-only SVD keeps
-    the lock up to about 500 columns.  The Householder completions of U
-    and W keep it (SciPy's f2py `dgeqrt` and `dgemqrt`).  Every call gets
-    the input it gets on one thread, so the factors are the same bit for
-    bit.  An error on the helper is raised on the caller's thread.  The
-    pool is shut down before the call returns or raises, so nothing is
-    left running and a process may fork after it has decomposed.
+    the stages take, with R in place of each tall block), in a process
+    where every BLAS library it has loaded reports one thread, gets a
+    one-thread `concurrent.futures.ThreadPoolExecutor` made for the call:
+    its thread takes the pivoted QR and then the singular values of the
+    stacked matrix's A and B rows, while the caller's thread takes those
+    of the stacked pair and the SVD of Qa.  The helper's stages and the
+    caller's SVDs run LAPACK without the interpreter lock, so the two
+    threads overlap; the singular values are taken through
+    `matcore._svdvals` because NumPy's values-only SVD keeps the lock up
+    to about 500 columns.  The Householder completions of U and W keep it
+    (SciPy's f2py `dgeqrt` and `dgemqrt`).  Every call gets the input it
+    gets on one thread, so the factors are the same bit for bit.  An error
+    on the helper is raised on the caller's thread.  The pool is shut down
+    before the call returns or raises, so nothing is left running and a
+    process may fork after it has decomposed.
 
     Smaller pairs run every stage on the caller's thread, each where its
     result is first read, and so do calls where a BLAS runs more than one
@@ -270,11 +277,11 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     columns, so the m1 - r_a columns spanning the left nullspace of A are
     skipped (for a tall A, Q_A meets [U_R; 0] alone, and in full format
     that same block first, then the completion columns in a second call);
-    V is the Householder Q applied to [I_rb; 0] only (m2 x r_b), so the
-    m2 - r_b completion columns are skipped.  W is still completed
-    to r x r when m1 < r.  U, C, S, H and the ranks match the full route
-    bit for bit; V can differ by roundoff, since the blocked reflectors
-    meet a narrower right-hand side.
+    V is the Householder Q applied to [I_rb; 0] only (m2 x r_b, or n x r_b
+    before Q_B for a tall B), so the m2 - r_b completion columns are
+    skipped.  W is still completed to r x r when m1 < r.  U, C, S, H and
+    the ranks match the full route bit for bit; V can differ by roundoff,
+    since the blocked reflectors meet a narrower right-hand side.
     """
     if not isinstance(tol, Tolerance):
         raise DomainError(f"tol must be a Tolerance, got {tol!r}")
@@ -283,8 +290,8 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
 
 def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # gsvd_decompose, also returning the singular values of a it reads r_a
-    # from, so callers that need them (||A||_2, a cross-check reference) do
-    # not factor A again.
+    # from (those of R_A for a tall a), so callers that need them (||A||_2,
+    # a cross-check reference) do not factor A again.
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[1]:
@@ -292,13 +299,9 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
             f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
         )
     m1, m2 = a.shape[0], b.shape[0]
-    stacked, qr_a = _stacked(a, b)
-    # views of the stacked copy, so the validated copies are freed; a
-    # triangularized a is kept for its singular values
-    top = stacked.shape[0] - m2
-    b = stacked[top:]
-    if qr_a is None:
-        a = stacked[:m1]
+    stacked, top, qr_a, qr_b = _stacked(a, b)
+    # views of the stacked copy, so the validated copies are freed
+    a, b = stacked[:top], stacked[top:]
 
     # The helper's stages; sv_ab is read after the SVD of Qa, where r_a and
     # r_b are first needed.  as_matrix has rejected non-finite entries, so
@@ -338,35 +341,47 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     s[mid] /= hyp
 
     # The normalized columns are orthonormal up to roundoff; one Householder
-    # QR pins them down without reordering or mixing directions and
-    # supplies the orthogonal complement in the same pass.  Applying its Q
-    # to the identity with columns rotated left by r_b gives
-    # V = [complement | Q[:, :r_b]] directly; the compact route applies it
-    # to [I_rb; 0] alone.
-    skip = 0 if compact else m2 - r_b
+    # QR pins them down without mixing directions and supplies the
+    # orthogonal complement in the same pass.  It takes them largest sine
+    # first: a column that is mostly roundoff would otherwise lead and
+    # every later column be orthogonalized against it.  Applying its Q to
+    # the identity with columns rotated left by r_b gives
+    # V = [complement | Q[:, :r_b]] directly, the sine block then put back
+    # in index order; the compact route applies it to [I_rb; 0] alone.
+    rows = b.shape[0]
+    skip = 0 if compact else rows - r_b
     denom = np.where(s[n_inf:] > 0, s[n_inf:], 1.0)
-    rhs = np.zeros((m2, skip + r_b), order="F")
+    rhs = np.zeros((rows, skip + r_b), order="F")
     np.fill_diagonal(rhs[r_b:, :skip], 1.0)
     np.fill_diagonal(rhs[:, skip:], 1.0)
-    v, diag_r = matcore._qr_apply(qbw[:, n_inf:] / denom, rhs)
-    v[:, skip:] *= np.where(diag_r < 0, -1.0, 1.0)
+    v, diag_r = matcore._qr_apply((qbw[:, n_inf:] / denom)[:, ::-1], rhs)
+    v[:, skip:] = (v[:, skip:] * np.where(diag_r < 0, -1.0, 1.0))[:, ::-1]
+    if qr_b is not None:
+        v = _lifted_v(qr_b, v, r_b, compact)
 
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
 
-    return GsvdFactors(u=u, v=v, c=c, s=s, h=h, v_start=skip, compact=compact), sv_a
+    v_start = 0 if compact else m2 - r_b
+    return GsvdFactors(u=u, v=v, c=c, s=s, h=h, v_start=v_start, compact=compact), sv_a
 
 
 def _stacked(a: np.ndarray, b: np.ndarray):
-    # (the stacked matrix the rank and QR stages take, the Householder QR
-    # a = Q_A [R_A; 0] or None): [R_A; b] for a tall a, past dgesdd's own
-    # crossover to a QR first, else [a; b].  Both have the singular
-    # values of [a; b], and the rows of R_A stand for those of a.
-    m1, n = a.shape
-    if m1 > n and m1 >= 11 * n // 6:
-        qr_a = matcore._householder(a)
-        return np.vstack([np.triu(qr_a[0][:n]), b]), qr_a
-    return np.vstack([a, b]), None
+    # (the stacked matrix the rank and QR stages take, the row count of its
+    # a part, the Householder QRs a = Q_A [R_A; 0] and b = Q_B [R_B; 0] or
+    # None): each block past dgesdd's own crossover to a QR first stands
+    # as its R factor, the others as given.  The stacked matrix has the
+    # singular values of [a; b], and the rows of R_A and R_B stand for
+    # those of a and b.
+    def factored(x):
+        m, n = x.shape
+        if m > n and m >= 11 * n // 6:
+            qr = matcore._householder(x)
+            return np.triu(qr[0][:n]), qr
+        return x, None
+
+    (top_rows, qr_a), (bottom_rows, qr_b) = factored(a), factored(b)
+    return np.vstack([top_rows, bottom_rows]), top_rows.shape[0], qr_a, qr_b
 
 
 def _lifted(qr_a, u_r: np.ndarray, w: np.ndarray, compact: bool):
@@ -388,6 +403,22 @@ def _lifted(qr_a, u_r: np.ndarray, w: np.ndarray, compact: bool):
     signs = matcore._leading_signs(u)
     u *= signs
     return u, w * signs[:r]
+
+
+def _lifted_v(qr_b, v_r: np.ndarray, r_b: int, compact: bool):
+    # V for a triangularized b from V_R, the V of the R_B rows with its
+    # sine block last (n x r_b compact, n x n full): Q_B [V_R; 0] (m2 x r_b)
+    # compact, and in full format Q_B applied to V_R's complement columns,
+    # then [0; I] for Q_B's trailing m2 - n columns, then the sine block,
+    # so that it stays last.
+    m2, n = qr_b[0].shape
+    k = v_r.shape[1] - r_b
+    v = np.zeros((m2, r_b if compact else m2), order="F")
+    v[:n, v.shape[1] - r_b:] = v_r[:, k:]
+    if not compact:
+        v[:n, :k] = v_r[:, :k]
+        np.fill_diagonal(v[n:, k:], 1.0)
+    return matcore._apply_q(qr_b, v)
 
 
 # An m x n stacked pair with m * n * min(m, n) below this, the order of
@@ -483,11 +514,13 @@ def _beside(pool, stage):
 
 def _ranks(a: np.ndarray, b: np.ndarray, tol: Tolerance):
     # (r, r_a, r_b) for the pair, decided as `gsvd_decompose` decides them:
-    # r from the singular values of the same stacked matrix.
-    sv_st = matcore._svdvals(_stacked(a, b)[0])
+    # from the singular values of the same stacked matrix and of its a and
+    # b rows, R_A and R_B for a tall block.
+    stacked, top = _stacked(a, b)[:2]
+    sv_st = matcore._svdvals(stacked)
     cut = tol.cutoff((a.shape[0] + b.shape[0], a.shape[1]), sv_st[0])
-    return tuple(matcore._count_above(sv, cut)
-                 for sv in (sv_st, matcore._svdvals(a), matcore._svdvals(b)))
+    return tuple(matcore._count_above(sv, cut) for sv in (
+        sv_st, matcore._svdvals(stacked[:top]), matcore._svdvals(stacked[top:])))
 
 
 def structure_counts(f: GsvdFactors) -> CsStructure:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gsvdkit.matcore import numerical_rank
+
 
 @pytest.fixture
 def rng():
@@ -30,6 +32,20 @@ def random_pair(rng, m1, m2, n, rank_a=None, rank_b=None, common_null=0):
     a = rng.standard_normal((m1, rank_a)) @ rng.standard_normal((rank_a, inner)) @ basis.T
     b = rng.standard_normal((m2, rank_b)) @ rng.standard_normal((rank_b, inner)) @ basis.T
     return a, b
+
+
+def check_factor_invariants(f, a, b, recon_tol=1e-12):
+    stacked = np.vstack([a, b])
+    assert np.all(np.diff(f.c) <= 0) and np.all(np.diff(f.s) >= 0)
+    assert np.all((0 <= f.c) & (f.c <= 1)) and np.all((0 <= f.s) & (f.s <= 1))
+    if f.r:
+        assert np.max(np.abs(f.c**2 + f.s**2 - 1)) <= 1e-13
+    np.testing.assert_allclose(f.u.T @ f.u, np.eye(f.u.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(f.v.T @ f.v, np.eye(f.v.shape[1]), atol=1e-12)
+    scale = max(np.linalg.norm(stacked), 1e-300)
+    assert np.linalg.norm(f.reconstruct() - stacked) <= recon_tol * scale
+    if f.r:
+        assert numerical_rank(f.h) == f.r
 
 
 def pencil_cotangents(a, b):

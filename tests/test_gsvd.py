@@ -13,24 +13,11 @@ from gsvdkit import cli, gsvd, matcore
 from gsvdkit.errors import DimensionMismatch, InvalidDimensions, RankOutOfRange
 from gsvdkit.matcore import Tolerance
 
-from conftest import pencil_cotangents, random_orthonormal, random_pair
+from conftest import (check_factor_invariants, pencil_cotangents, random_orthonormal,
+                      random_pair)
 
 DIAG34 = np.diag([3.0, 4.0])
 ROW11 = np.array([[1.0, 1.0]])
-
-
-def check_factor_invariants(f, a, b, recon_tol=1e-12):
-    stacked = np.vstack([a, b])
-    assert np.all(np.diff(f.c) <= 0) and np.all(np.diff(f.s) >= 0)
-    assert np.all((0 <= f.c) & (f.c <= 1)) and np.all((0 <= f.s) & (f.s <= 1))
-    if f.r:
-        assert np.max(np.abs(f.c**2 + f.s**2 - 1)) <= 1e-13
-    np.testing.assert_allclose(f.u.T @ f.u, np.eye(f.u.shape[1]), atol=1e-12)
-    np.testing.assert_allclose(f.v.T @ f.v, np.eye(f.v.shape[1]), atol=1e-12)
-    scale = max(np.linalg.norm(stacked), 1e-300)
-    assert np.linalg.norm(f.reconstruct() - stacked) <= recon_tol * scale
-    if f.r:
-        assert matcore.numerical_rank(f.h) == f.r
 
 
 class TestDecompose:
@@ -132,18 +119,32 @@ class TestDecompose:
             assert int(np.sum(f.s == 0)) == f.r - f.r_b
             assert int(np.sum(f.c == 0)) == f.r - f.r_a
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="a cut below B's roundoff keeps a sine of 5.1e-16; its column leads the "
-               "Householder QR of the sine columns, so every later V column is "
-               "orthogonalized against roundoff and V S H misses B by 1.04 relative")
     def test_zero_tolerance_b_block_reconstructs(self):
+        # a cut below B's roundoff keeps a sine of 5.1e-16; its column must
+        # not lead the Householder QR of the sine columns, or every later V
+        # column is orthogonalized against roundoff
         rng = np.random.default_rng(3)
         a = rng.standard_normal((12, 8))
         b = rng.standard_normal((9, 8))
         b[:, 0] = b[:, 1]
         f = gsvd.gsvd_decompose(a, b, Tolerance(rel=0.0))
         assert np.linalg.norm(f.v @ f.s_matrix() @ f.h - b) <= 1e-12 * np.linalg.norm(b)
+
+
+TALL_PAIRS = {
+    # thousands of genes by a few arrays in each block: both blocks tall
+    "genome_450_1200x18": lambda rng: (rng.standard_normal((450, 18)),
+                                       rng.standard_normal((1200, 18))),
+    # a Tikhonov path's A beside a first-difference-shaped L: A tall
+    "tikhonov_2000_199x200": lambda rng: (rng.standard_normal((2000, 200)),
+                                          rng.standard_normal((199, 200))),
+    # a within-cluster block beside two between-cluster rows: B tall
+    "discriminant_2_300x50": lambda rng: (rng.standard_normal((2, 50)),
+                                          rng.standard_normal((300, 50))),
+    # both tall and rank-deficient, with a common nullspace
+    "rank_deficient_60_80x12": lambda rng: random_pair(rng, 60, 80, 12, rank_a=5, rank_b=4,
+                                                       common_null=3),
+}
 
 
 class TestTallB:
@@ -174,6 +175,35 @@ class TestTallB:
         # B = V S H with each v_i at the column v_col_of records
         b_rows = f.reconstruct()[20:]
         assert np.linalg.norm(b_rows - b) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", list(TALL_PAIRS))
+    def test_tall_pairs(self, rng, tmp_path, case):
+        # Each tall block stands as its R factor in the stacked matrix, and
+        # V is lifted through Q_B as U is through Q_A.
+        a, b = TALL_PAIRS[case](rng)
+        full = gsvd.gsvd_decompose(a, b)
+        check_factor_invariants(full, a, b)
+        want = (matcore.numerical_rank(np.vstack([a, b])), matcore.numerical_rank(a),
+                matcore.numerical_rank(b))
+        assert (full.r, full.r_a, full.r_b) == want
+        assert gsvd._ranks(a, b, Tolerance()) == want
+        assert full.v_start == b.shape[0] - full.r_b
+        fc = gsvd.gsvd_decompose(a, b, compact=True)
+        check_factor_invariants(fc, a, b)
+        ref = gsvd.compact(full)
+        for name in ("u", "c", "s", "h", "v_col_of"):
+            np.testing.assert_array_equal(getattr(fc, name), getattr(ref, name), err_msg=name)
+        np.testing.assert_allclose(fc.v, ref.v, rtol=0, atol=1e-14)
+        # the R factors keep the blocks' singular values
+        stacked, top = gsvd._stacked(a, b)[:2]
+        for block, rows in ((a, stacked[:top]), (b, stacked[top:])):
+            want_sv = matcore._svdvals(block)
+            assert np.max(np.abs(matcore._svdvals(rows) - want_sv)) <= 1e-14 * want_sv[0]
+        pa, pb, out = (str(tmp_path / name) for name in ("a.csv", "b.csv", "factors.json"))
+        cli.write_matrix(pa, a)
+        cli.write_matrix(pb, b)
+        assert cli.main(["gsvd", pa, pb, "--compact", "--json", out]) == 0
+        assert cli.main(["verify", pa, pb, out]) == 0
 
 
 class TestQrSvdRankDisagreement:
@@ -883,9 +913,17 @@ TALL_A_CASES = {
 }
 
 
+# (m1, m2, n, A tall, B tall); each id names m1, m2, n and A's flag
+ROUTE_CASES = [
+    (22, 3, 12, True, False), (21, 3, 12, False, False), (3, 22, 12, False, True),
+    (3, 21, 12, False, False), (5, 2, 3, True, False), (4, 2, 3, False, False),
+    (2, 2, 1, True, True), (1, 2, 1, False, True), (40, 50, 10, True, True),
+    (3, 40, 4, False, True)]
+
+
 class TestTallA:
     # A with m1 >= floor(11 n / 6) rows is triangularized, A = Q_A [R_A; 0],
-    # before the rank and QR stages, which then take [R_A; B].
+    # before the rank and QR stages, which then take R_A in its place.
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("case", list(TALL_A_CASES))
     def test_invariants_and_ranks(self, rng, case, compact):
@@ -902,18 +940,21 @@ class TestTallA:
             assert f.u.shape == (a.shape[0], a.shape[0])
             assert np.linalg.norm(f.u[:, f.r_a:].T @ a) <= 1e-13 * max(np.linalg.norm(a), 1.0)
 
-    @pytest.mark.parametrize("m1, m2, n, tall", [
-        (22, 3, 12, True), (21, 3, 12, False), (5, 2, 3, True), (4, 2, 3, False),
-        (2, 2, 1, True), (1, 2, 1, False), (40, 50, 10, True), (3, 40, 4, False)])
-    def test_route_follows_the_crossover(self, rng, monkeypatch, m1, m2, n, tall):
-        # The stacked singular values are taken of [R_A; B] past the
-        # crossover and of [A; B] below it; A and B are never replaced.
+    @pytest.mark.parametrize("m1, m2, n, tall_a, tall_b", ROUTE_CASES,
+                             ids=["{}-{}-{}-{}".format(*case[:4]) for case in ROUTE_CASES])
+    def test_route_follows_the_crossover(self, rng, monkeypatch, m1, m2, n, tall_a, tall_b):
+        # The singular values are taken of the stacked matrix and of its A
+        # and B rows, each block past the crossover standing as its n x n R
+        # factor and each below it as given, by `_ranks` as by the
+        # decomposition.
         calls = []
         svdvals = matcore._svdvals
         monkeypatch.setattr(matcore, "_svdvals", lambda x: calls.append(x.shape) or svdvals(x))
         a, b = rng.standard_normal((m1, n)), rng.standard_normal((m2, n))
         gsvd.gsvd_decompose(a, b)
-        assert calls == [((n if tall else m1) + m2, n), (m1, n), (m2, n)]
+        gsvd._ranks(a, b, Tolerance())
+        rows_a, rows_b = n if tall_a else m1, n if tall_b else m2
+        assert calls == [(rows_a + rows_b, n), (rows_a, n), (rows_b, n)] * 2
 
     @pytest.mark.parametrize("m1, m2, n", [(1800, 2, 3), (2000, 199, 200), (40, 5, 10)])
     def test_compact_route_matches_compacted_full_factors(self, rng, m1, m2, n):

@@ -112,12 +112,13 @@ class TestPrincipalAngles:
     def test_factors_y_q1_once(self, rng, monkeypatch):
         # the GSVD reads r_a from the singular values of Y' Q1, and the
         # cross-check compares against the same values: three singular-value
-        # calls (stacked pair, Y' Q1, residual), not a fourth for the check
+        # calls (stacked pair, Y' Q1, residual), not a fourth for the check;
+        # the 12 x 4 residual is tall, so it stands as its 4 x 4 R factor
         calls = []
         svdvals = matcore._svdvals
         monkeypatch.setattr(matcore, "_svdvals", lambda x: calls.append(x.shape) or svdvals(x))
         subgeom.principal_angles(rng.standard_normal((12, 4)), rng.standard_normal((12, 3)))
-        assert calls == [(15, 4), (3, 4), (12, 4)]
+        assert calls == [(7, 4), (3, 4), (4, 4)]
 
     @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8, 1e-10])
     def test_one_small_angle_is_exact(self, t):
