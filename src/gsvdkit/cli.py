@@ -20,7 +20,6 @@ import dataclasses
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -42,27 +41,6 @@ _ELLIPSE_SAMPLES = 64
 # ---------------------------------------------------------------- file I/O
 
 def read_matrix(path: str, header: bool = False) -> np.ndarray:
-    # NumPy's C parser reads a headerless file of finite values.  Any file
-    # it rejects (a warning included, as on an empty file), or reads with
-    # a non-finite value, and every file with a header, is read again by
-    # `_read_rows`, which accepts what the parser accepts, and a few more
-    # spellings of a number, and names the line of a fault.  So each file
-    # gives the array or the message `_read_rows` gives.
-    if not header:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                m = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                               encoding="utf-8")
-            except (ValueError, OSError, Warning):
-                m = None
-        if m is not None and np.isfinite(m).all():
-            return m
-    return _read_rows(path, header)
-
-
-def _read_rows(path: str, header: bool) -> np.ndarray:
-    # The matrix in a CSV file, parsed a record at a time by the csv module.
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:

@@ -1,12 +1,11 @@
+import gzip
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gsvdkit import cli, gsvd, jacobi, stats, subgeom, tikhonov
-from gsvdkit.errors import CsvParseError
 from gsvdkit.matcore import Tolerance
 
 from conftest import random_pair
@@ -813,59 +812,21 @@ class TestInputEdges:
         assert "--lambdas" in capsys.readouterr().err
 
 
-# Files on which NumPy's parser and the csv loop could part: line endings,
-# blank and whitespace lines, quoting, number spellings either one accepts
-# alone, non-finite and overflowing values, and malformed rows.  None is
-# a path with no file.
-CSV_EDGE_FILES = {
-    "plain": "1,2\n3,4\n", "crlf": "1,2\r\n3,4\r\n", "cr_only": "1,2\r3,4\r",
-    "no_final_newline": "1,2\n3,4", "blank_lines": "1,2\n\n3,4\n\n",
-    "whitespace_line": "1,2\n  \n3,4\n", "padded": " 1 , 2 \n3,\t4\n",
-    "quoted": '"1","2"\n3,4\n', "quoted_newline": '"1\n",2\n3,4\n',
-    "underscore": "1_0,2\n3,4\n", "fullwidth": "\uff11,2\n3,4\n",
-    "nan": "1,nan\n3,4\n", "inf": "inf,2\n3,4\n", "infinity": "1,Infinity\n3,4\n",
-    "overflow": "1e400,2\n3,4\n", "underflow": "5e-324,1e-400\n1,2\n",
-    "spellings": "-0,+1\n.5,5.\n1E5,-1e-5\n",
-    "long_digits": "0.1000000000000000055511151231257827\n",
-    "empty": "", "only_blank": "\n\n", "ragged": "1,2\n3\n", "trailing_comma": "1,2,\n3,4,\n",
-    "empty_cell": "1,,2\n", "comment": "# c\n1,2\n", "bom": "\ufeff1,2\n", "semicolon": "1;2\n",
-    "hex": "0x1,2\n", "words": "a,b\n1,2\n", "nul": "1,2\x00\n",
-    "column": "1\n2\n3\n", "row": "1,2,3\n", "single": "5\n", "missing": None,
-}
-
-
 class TestReadMatrix:
-    # read_matrix tries NumPy's parser and reads what it rejects again with
-    # `_read_rows`, the csv loop: every file gives the loop's array or its
-    # message, and nothing is printed or warned.
-    @pytest.mark.parametrize("name", list(CSV_EDGE_FILES))
-    def test_matches_the_csv_loop(self, tmp_path, capsys, name):
-        path = tmp_path / f"{name}.csv"
-        if CSV_EDGE_FILES[name] is not None:
-            path.write_bytes(CSV_EDGE_FILES[name].encode("utf-8"))
-
-        def outcome(read):
-            try:
-                m = read(str(path))
-            except CsvParseError as exc:
-                return str(exc)
-            return m.shape, m.dtype, m.tobytes()
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = outcome(cli.read_matrix)
-        assert got == outcome(lambda p: cli._read_rows(p, False))
-        assert caught == []
-        assert capsys.readouterr() == ("", "")
-
-    def test_well_formed_file_skips_the_loop(self, tmp_path, monkeypatch):
-        path = write_csv(tmp_path / "m.csv", [[1.5, -2.0], [3.0, 4e-300]])
-
-        def loop(*args):
-            raise AssertionError("read by the csv loop")
-
-        monkeypatch.setattr(cli, "_read_rows", loop)
-        np.testing.assert_array_equal(cli.read_matrix(path), [[1.5, -2.0], [3.0, 4e-300]])
+    # A path names a local file as given: a URL-shaped path is a missing
+    # file, a compressed sibling of a missing file is not read in its
+    # place, and a compressed file is not decompressed.
+    @pytest.mark.parametrize("name", ["http://localhost:9/a.csv", "a.csv", "a.csv.gz"])
+    def test_path_is_a_plain_local_file(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        with gzip.open(tmp_path / "a.csv.gz", "wt", encoding="utf-8") as fh:
+            fh.write("1,2\n3,4\n")
+        assert cli.main(["gsvd", name, name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gsvdkit gsvd: ") and err.count("\n") == 1
+        if name != "a.csv.gz":
+            assert name in err and "No such file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv.gz"]
 
 
 class TestPartitionEdges:
