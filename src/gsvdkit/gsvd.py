@@ -223,15 +223,15 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     the pair with each tall block replaced by its n rows of R, which has
     the singular values of [A; B].  U comes back as Q_A [U_R; 0], or
     Q_A blockdiag(U_R, I) in full format, from the SVD U_R C W' of the R_A
-    rows; V comes back as Q_B [V_R; 0] compact, and in full format as Q_B
-    applied to V_R's complement columns, then [0; I] for Q_B's trailing
-    m2 - n columns, then V_R's sine block, from the V_R of the R_B rows.
-    The crossover is the one LAPACK's dgesdd uses to take a QR before its
-    SVD: below it the QR can cost more than it saves.  The singular values
-    that decide r_a and r_b are those of the stacked matrix's A and B rows,
-    R_A and R_B for a tall block, which agree with the blocks' own to about
-    1e-15 relative; the cut stays at the (m1 + m2) x n shape, and
-    sigma_max, and so r, is read from the stacked matrix.
+    rows; V is formed in one m2-row buffer for every B, and for a tall B
+    Q_B is applied to the whole of it, with no layout of its own: the
+    identity's rows past n become Q_B's trailing columns.  The crossover
+    is the one LAPACK's dgesdd uses to take a QR before its SVD: below it
+    the QR can cost more than it saves.  The singular values that decide
+    r_a and r_b are those of the stacked matrix's A and B rows, R_A and
+    R_B for a tall block, which agree with the blocks' own to about 1e-15
+    relative; the cut stays at the (m1 + m2) x n shape, and sigma_max, and
+    so r, is read from the stacked matrix.
 
     A large pair (m n min(m, n) >= 5 x 10^6 for the m x n stacked matrix
     the stages take, with R in place of each tall block), in a process
@@ -272,16 +272,14 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     always agree with independently computed ranks.
 
     With compact=True the factors come in compact format, equal to
-    `compact(gsvd_decompose(a, b))`, and the left-nullspace completions
-    are never formed: U is the thin SVD of Qa cut to its r_a leading
-    columns, so the m1 - r_a columns spanning the left nullspace of A are
-    skipped (for a tall A, Q_A meets [U_R; 0] alone, and in full format
-    that same block first, then the completion columns in a second call);
-    V is the Householder Q applied to [I_rb; 0] only (m2 x r_b, or n x r_b
-    before Q_B for a tall B), so the m2 - r_b completion columns are
-    skipped.  W is still completed to r x r when m1 < r.  U, C, S, H and
-    the ranks match the full route bit for bit; V can differ by roundoff,
-    since the blocked reflectors meet a narrower right-hand side.
+    `compact(gsvd_decompose(a, b))` bit for bit, and the left-nullspace
+    completions are never formed: U is the thin SVD of Qa cut to its r_a
+    leading columns, so the m1 - r_a columns spanning the left nullspace
+    of A are skipped; V is the sine block alone, so the m2 - r_b
+    completion columns are skipped.  W is still completed to r x r when
+    m1 < r.  Each Q meets the columns compact format keeps (U's first r,
+    V's sine block) in a call of their own, in both formats, and the
+    completion columns in a second call.
     """
     if not isinstance(tol, Tolerance):
         raise DomainError(f"tol must be a Tolerance, got {tol!r}")
@@ -344,25 +342,31 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # QR pins them down without mixing directions and supplies the
     # orthogonal complement in the same pass.  It takes them largest sine
     # first: a column that is mostly roundoff would otherwise lead and
-    # every later column be orthogonalized against it.  Applying its Q to
-    # the identity with columns rotated left by r_b gives
-    # V = [complement | Q[:, :r_b]] directly, the sine block then put back
-    # in index order; the compact route applies it to [I_rb; 0] alone.
-    rows = b.shape[0]
-    skip = 0 if compact else rows - r_b
-    denom = np.where(s[n_inf:] > 0, s[n_inf:], 1.0)
-    rhs = np.zeros((rows, skip + r_b), order="F")
-    np.fill_diagonal(rhs[r_b:, :skip], 1.0)
-    np.fill_diagonal(rhs[:, skip:], 1.0)
-    v, diag_r = matcore._qr_apply((qbw[:, n_inf:] / denom)[:, ::-1], rhs)
-    v[:, skip:] = (v[:, skip:] * np.where(diag_r < 0, -1.0, 1.0))[:, ::-1]
+    # every later column be orthogonalized against it.  V starts as the
+    # m2 x m2 identity with its columns rotated left by r_b (its last r_b
+    # columns alone in compact format), and the Q, applied to its first
+    # `rows` rows (those of b, R_B's n for a triangularized b), gives
+    # [complement | Q[:, :r_b]], the sine block then put back in index
+    # order.  Only the columns with an entry in those rows meet it; the
+    # others are [0; I], which Q_B, applied to every column, turns into
+    # its own trailing columns.
+    rows, v_start = b.shape[0], 0 if compact else m2 - r_b
+    v = np.zeros((m2, v_start + r_b), order="F")
+    np.fill_diagonal(v[r_b:, :v_start], 1.0)
+    np.fill_diagonal(v[:, v_start:], 1.0)
+    sines = slice(v_start, None)
+    if r_b:
+        denom = np.where(s[n_inf:] > 0, s[n_inf:], 1.0)
+        qr_s = matcore._householder((qbw[:, n_inf:] / denom)[:, ::-1])
+        _lift(qr_s, v[:rows], sines, slice(0, min(v_start, rows - r_b)))
+        flip = np.where(np.diag(qr_s[0]) < 0, -1.0, 1.0)
+        del qr_s
+        v[:rows, sines] = (v[:rows, sines] * flip)[:, ::-1]
     if qr_b is not None:
-        v = _lifted_v(qr_b, v, r_b, compact)
+        _lift(qr_b, v, sines, slice(0, v_start))
 
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
-
-    v_start = 0 if compact else m2 - r_b
     return GsvdFactors(u=u, v=v, c=c, s=s, h=h, v_start=v_start, compact=compact), sv_a
 
 
@@ -389,36 +393,28 @@ def _lifted(qr_a, u_r: np.ndarray, w: np.ndarray, compact: bool):
     # the R_A rows: U = Q_A [U_R; 0] (m1 x r) compact, Q_A blockdiag(U_R, I)
     # (m1 x m1) full, oriented by its own leading entries with W's columns
     # flipped in tandem, as `matcore._svd` orients an SVD of the m1 rows.
-    # Q_A meets the same [U_R[:, :r]; 0] in both formats and the completion
-    # columns in a second call, so compact U is full U's leading columns
-    # bit for bit.
     m1, n = qr_a[0].shape
     r = w.shape[0]
     u = np.zeros((m1, r if compact else m1), order="F")
     u[:n, :u_r.shape[1]] = u_r
     np.fill_diagonal(u[n:, n:], 1.0)
-    for block in (u[:, :r], u[:, r:]):
-        if block.shape[1]:
-            matcore._apply_q(qr_a, block)
+    _lift(qr_a, u, slice(0, r), slice(r, None))
     signs = matcore._leading_signs(u)
     u *= signs
     return u, w * signs[:r]
 
 
-def _lifted_v(qr_b, v_r: np.ndarray, r_b: int, compact: bool):
-    # V for a triangularized b from V_R, the V of the R_B rows with its
-    # sine block last (n x r_b compact, n x n full): Q_B [V_R; 0] (m2 x r_b)
-    # compact, and in full format Q_B applied to V_R's complement columns,
-    # then [0; I] for Q_B's trailing m2 - n columns, then the sine block,
-    # so that it stays last.
-    m2, n = qr_b[0].shape
-    k = v_r.shape[1] - r_b
-    v = np.zeros((m2, r_b if compact else m2), order="F")
-    v[:n, v.shape[1] - r_b:] = v_r[:, k:]
-    if not compact:
-        v[:n, :k] = v_r[:, :k]
-        np.fill_diagonal(v[n:, k:], 1.0)
-    return matcore._apply_q(qr_b, v)
+def _lift(qr, x: np.ndarray, kept: slice, rest: slice):
+    # Q x[:, kept] and Q x[:, rest] into x, in two calls: the kept columns
+    # (U's first r, V's sine block), the ones compact format holds, meet
+    # the Q as they do with no others beside them, so compact factors are
+    # the full factors' columns bit for bit.  `matcore._apply_q` writes in
+    # place only into a Fortran-ordered block, and a block of a row slice
+    # (V's R rows for a tall b) comes back as a copy, so the result is
+    # assigned back, which costs nothing when it was in place.
+    for block in (kept, rest):
+        if x[:, block].shape[1]:
+            x[:, block] = matcore._apply_q(qr, x[:, block])
 
 
 # An m x n stacked pair with m * n * min(m, n) below this, the order of

@@ -234,47 +234,45 @@ def _apply_q(qr, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _qr_apply(x: np.ndarray, c: np.ndarray):
-    # (Q @ c, diag(R)) for the Householder QR x = Q R of a tall x (rows >=
-    # cols).  An x with no columns has Q = I, so c comes back unchanged:
-    # empty blocks and rank 0 need no route of their own.
+def _qr_apply(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # Q @ c for the Householder QR x = Q R of a tall x (rows >= cols).  An
+    # x with no columns has Q = I, so c comes back unchanged: empty blocks
+    # and rank 0 need no route of their own.
     if x.shape[1] == 0:
-        return c, np.zeros(0)
-    qr = _householder(x)
-    return _apply_q(qr, c), np.diag(qr[0]).copy()
+        return c
+    return _apply_q(_householder(x), c)
 
 
 def _completed(q: np.ndarray) -> np.ndarray:
-    # [q | complete_basis(q)] for q with 0 <= k < m orthonormal columns,
-    # square, with the completion written in place into one buffer.  `_svd`
-    # completes only the longer side, so k < m always holds.
+    # [q | complete_basis(q)], square, for q with 0 <= k <= m orthonormal
+    # columns (q itself at k = m): the completion is written in place into
+    # one buffer, each column oriented by its leading significant entry.
     m, k = q.shape
+    if k == m:
+        return q
     out = np.zeros((m, m), order="F")
     out[:, :k] = q
     np.fill_diagonal(out[k:, k:], 1.0)
-    _qr_apply(q, out[:, k:])
+    tail = out[:, k:]
+    _qr_apply(q, tail)
+    tail *= _leading_signs(tail)
     return out
 
 
 def _svd(m: np.ndarray, complete_u: bool = False, complete_v: bool = False):
-    # Thin SVD m = u diag(sigma) v' with deterministic column signs; the
-    # side(s) asked for are completed to square when they are the longer
-    # one.  Each u column is oriented by its leading significant entry and
-    # the first min(rows, cols) columns of v flip in tandem with theirs;
-    # v's completion columns are oriented alone.  A completion's reflectors
-    # do not depend on the column signs, so the leading columns, and the
-    # completion itself, are the same whichever sides are completed.
+    # Thin SVD m = u diag(sigma) v' with deterministic column signs, each
+    # u column oriented by its leading significant entry and v's flipped in
+    # tandem, then the side(s) asked for completed to square.  A
+    # completion's reflectors do not depend on the column signs.
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt.T
-    if complete_u and m.shape[0] > m.shape[1]:
-        u = _completed(u)
-    if complete_v and m.shape[0] < m.shape[1]:
-        v = _completed(v)
-    k = sigma.size
     signs = _leading_signs(u)
     u *= signs
-    v[:, :k] *= signs[:k]
-    v[:, k:] *= _leading_signs(v[:, k:])
+    v = vt.T
+    v *= signs
+    if complete_u:
+        u = _completed(u)
+    if complete_v:
+        v = _completed(v)
     return u, sigma, v
 
 
@@ -328,4 +326,4 @@ def complete_basis(q) -> np.ndarray:
         return np.zeros((m, 0))
     out = np.zeros((m, m - k), order="F")
     np.fill_diagonal(out[k:], 1.0)
-    return _qr_apply(q, out)[0]
+    return _qr_apply(q, out)

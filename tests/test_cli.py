@@ -65,10 +65,6 @@ class TestGsvdCommand:
                 doc = read_json(out)
                 f = gsvd.compact(gsvd.gsvd_decompose(cli.read_matrix(pa), cli.read_matrix(pb)))
                 want = json.loads(json.dumps(cli.factors_to_document(f, Tolerance(), convention)))
-                for key in ("u", "v"):
-                    got, ref = np.array(doc.pop(key)), np.array(want.pop(key))
-                    assert got.shape == ref.shape == getattr(f, key).shape
-                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
                 assert doc == want
                 assert cli.main(["verify", pa, pb, out]) == 0
         # every JSON file loads back as exactly the in-process document:

@@ -49,9 +49,17 @@ def pairs(draw):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(pair=pairs(), compact=st.booleans())
-def test_invariants_and_ranks(pair, compact):
+@given(pair=pairs())
+def test_invariants_and_ranks(pair):
+    # Both formats of each pair; the compact factors are the compacted full
+    # factors bit for bit.
     a, b = pair
-    f = gsvd.gsvd_decompose(a, b, compact=compact)
-    check_factor_invariants(f, a, b, recon_tol=1e-11)
+    f = gsvd.gsvd_decompose(a, b)
+    fc = gsvd.gsvd_decompose(a, b, compact=True)
+    for g in (f, fc):
+        check_factor_invariants(g, a, b, recon_tol=1e-11)
     assert gsvd._ranks(a, b, Tolerance()) == (f.r, f.r_a, f.r_b)
+    ref = gsvd.compact(f)
+    for name in ("u", "v", "c", "s", "h"):
+        np.testing.assert_array_equal(getattr(fc, name), getattr(ref, name), err_msg=name)
+    assert fc.v_start == ref.v_start

@@ -293,9 +293,11 @@ class TestSvdvals:
 
     def test_releases_the_interpreter_lock(self, rng):
         # With a switch interval far longer than the call, the caller is
-        # never asked to drop the lock, so the spinner counts during the
-        # call only if the call releases it.  NumPy's values-only SVD of a
-        # 550 x 200 matrix does not.
+        # never asked to drop the lock, so the spinner counts during a call
+        # only if the call releases it.  NumPy's values-only SVD of a
+        # 550 x 200 matrix does not.  A busy host may not schedule the
+        # spinner within one call of a few milliseconds, so the call is
+        # repeated until one overlaps it; one that keeps the lock never does.
         x = rng.standard_normal((550, 200))
         count, started, stop = [0], threading.Event(), threading.Event()
 
@@ -308,15 +310,19 @@ class TestSvdvals:
         spinner = threading.Thread(target=spin)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(100.0)
+        overlapped = False
         try:
             spinner.start()
             assert started.wait(timeout=60)
-            before = count[0]
-            matcore._svdvals(x)
-            during = count[0] - before
+            for _ in range(50):
+                before = count[0]
+                matcore._svdvals(x)
+                if count[0] > before:
+                    overlapped = True
+                    break
         finally:
             stop.set()
             sys.setswitchinterval(interval)
             spinner.join(timeout=60)
         assert not spinner.is_alive()
-        assert during > 0
+        assert overlapped
