@@ -232,18 +232,19 @@ def cmd_gsvd(args) -> int:
     f = gsvd.gsvd_decompose(a, b, tol, compact=args.compact)
     if args.convention == "top":
         f = gsvd.with_top_convention(f)
-    # The document, with U, V and H as lists, is built only to be written.
-    derived = _derived_keys(f)
+    # With --json the document holds the derived keys and is printed from;
+    # without it, U, V and H are never made into lists.
+    doc = factors_to_document(f, tol, args.convention) if args.json else _derived_keys(f)
     print(f"m1={f.m1} m2={f.m2} n={f.n}  r={f.r} ra={f.r_a} rb={f.r_b}")
-    c = derived["structure"]
+    c = doc["structure"]
     print(
         f"structure: infinite={c['n_infinite']} finite={c['n_finite']} "
         f"zero={c['n_zero']} (zero rows C={c['zero_rows_c']}, S={c['zero_rows_s']})"
     )
-    print(f"generalized values: {_fmt_values(derived['generalized_values'])}")
-    print(f"angles: {_fmt_values(derived['angles'])}")
+    print(f"generalized values: {_fmt_values(doc['generalized_values'])}")
+    print(f"angles: {_fmt_values(doc['angles'])}")
     if args.json:
-        _write_json(args.json, factors_to_document(f, tol, args.convention))
+        _write_json(args.json, doc)
     if args.csv_prefix:
         write_matrix(args.csv_prefix + "_U.csv", f.u)
         write_matrix(args.csv_prefix + "_V.csv", f.v)

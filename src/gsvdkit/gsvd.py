@@ -209,7 +209,7 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     columns; an SVD Qa = U C W' yields U and the cosines (singular values
     of an orthonormal-column submatrix lie in [0, 1]); the columns of Qb W
     are then exactly orthogonal with norms s_i, so V comes from one
-    Householder QR of the normalized columns, taken largest sine first so
+    Householder QR of those columns, unscaled, taken largest sine first so
     that a column of roundoff (a sine kept by a cut below B's roundoff)
     comes last and spoils no other, whose blocked reflectors, applied to
     a column-rotated identity, give the orthogonal complement followed by
@@ -338,10 +338,12 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     c[mid] /= hyp
     s[mid] /= hyp
 
-    # The normalized columns are orthonormal up to roundoff; one Householder
-    # QR pins them down without mixing directions and supplies the
-    # orthogonal complement in the same pass.  It takes them largest sine
-    # first: a column that is mostly roundoff would otherwise lead and
+    # The columns are orthogonal up to roundoff; one Householder QR pins
+    # them down without mixing directions and supplies the orthogonal
+    # complement in the same pass.  They go in unscaled: a positive column
+    # scale changes neither Q nor the signs of R's diagonal, so dividing
+    # by the sines would move V by roundoff alone.  It takes them largest
+    # sine first: a column that is mostly roundoff would otherwise lead and
     # every later column be orthogonalized against it.  V starts as the
     # m2 x m2 identity with its columns rotated left by r_b (its last r_b
     # columns alone in compact format), and the Q, applied to its first
@@ -356,8 +358,7 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     np.fill_diagonal(v[:, v_start:], 1.0)
     sines = slice(v_start, None)
     if r_b:
-        denom = np.where(s[n_inf:] > 0, s[n_inf:], 1.0)
-        qr_s = matcore._householder((qbw[:, n_inf:] / denom)[:, ::-1])
+        qr_s = matcore._householder(qbw[:, n_inf:][:, ::-1])
         _lift(qr_s, v[:rows], sines, slice(0, min(v_start, rows - r_b)))
         flip = np.where(np.diag(qr_s[0]) < 0, -1.0, 1.0)
         del qr_s

@@ -8,7 +8,6 @@ code assumes validated data.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import numbers
 import re
@@ -130,28 +129,21 @@ def _svdvals(x: np.ndarray) -> np.ndarray:
     # these equal bit for bit at one BLAS thread.  It goes through ctypes,
     # which releases the interpreter lock for the call; NumPy's svd keeps
     # the lock up to about 500 columns, and SciPy's f2py dgesdd at every
-    # size, so a thread beside them cannot run.  The copy, values and
-    # workspace are three arrays: one block holding all three raised the
-    # factor bench's peak RSS from 222 to 234 MB.
+    # size, so a thread beside them cannot run.  The workspace is queried
+    # on every call, which writes the optimal lwork to work[0]: 7.5-8.6 us
+    # from 3 x 4 to 2200 x 800 on a 2-core Xeon host, too little for a
+    # cache to show end to end.  The copy, values and workspace are three
+    # arrays: one block holding all three raised the factor bench's peak
+    # RSS from 222 to 234 MB.
     m, n = x.shape
     k = min(m, n)
     if k == 0:
         return np.zeros(0)
-    a, s = np.array(x, dtype=float, order="F"), np.empty(k)
-    work = np.empty(_dgesdd_lwork(m, n))
+    a, s, work = np.array(x, dtype=float, order="F"), np.empty(k), np.empty(1)
+    _dgesdd_values(m, n, a.ctypes.data, s.ctypes.data, work.ctypes.data, -1)
+    work = np.empty(int(work[0]))
     _dgesdd_values(m, n, a.ctypes.data, s.ctypes.data, work.ctypes.data, work.size)
     return s
-
-
-@functools.lru_cache(maxsize=256)
-def _dgesdd_lwork(m: int, n: int) -> int:
-    # The optimal lwork for an m x n matrix from dgesdd's workspace query,
-    # which reads only the sizes and writes the answer to work[0]; asked
-    # once per shape, as a query costs about as much as a small call.
-    work = np.empty(1)
-    at = work.ctypes.data
-    _dgesdd_values(m, n, at, at, at, -1)
-    return int(work[0])
 
 
 def _dgesdd_values(m: int, n: int, a: int, s: int, work: int, lwork: int) -> None:

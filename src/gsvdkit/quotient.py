@@ -120,7 +120,7 @@ def trig_table(f: GsvdFactors, a, b) -> TrigTable:
 
     if f.r == f.r_b:
         cot_sv = matcore._svdvals(a @ matcore._svd_pinv(*matcore._svd(b), f.r_b))
-        cots = f.c[f.s > 0] / f.s[f.s > 0]
+        cots = f.cotangents()[f.s > 0]
         rows.append(TrigRow("cot", True, cots, cot_sv, _compare(cots, cot_sv)))
     else:
         rows.append(TrigRow("cot", False, note=f"needs r = r_b, have r = {f.r}, r_b = {f.r_b}"))
@@ -189,8 +189,7 @@ def quotient_check(a, b):
     floor = matcore.EPS * max(max(a.shape), max(b.shape)) * a_norm * bdag_norm
     sv_ab = matcore._svdvals(abdag)
     sv_pab = matcore._svdvals(proj.p @ abdag)
-    finite = (f.s > 0) & (f.c > 0)
-    gsv = np.sort(f.c[finite] / f.s[finite])[::-1]
+    gsv = np.sort(f.cotangents()[(f.s > 0) & (f.c > 0)])[::-1]
     return gsv, sv_pab[sv_pab > floor], sv_ab[sv_ab > floor]
 
 

@@ -137,11 +137,9 @@ def additive_split(m, y1):
     top = y1.T @ m
     bottom = y2.T @ m if y2.shape[1] else np.zeros((1, m.shape[1]))
     f = gsvd.gsvd_decompose(top, bottom)
-    p_part = y1 @ (f.u @ f.c_matrix() @ f.h)
-    if y2.shape[1]:
-        q_part = y2 @ (f.v @ f.s_matrix() @ f.h)
-    else:
-        q_part = np.zeros_like(m)
+    # [U C H; V S H]; with y1 square, B is one zero row that y2 takes none of
+    parts, k = f.reconstruct(), y1.shape[1]
+    p_part, q_part = y1 @ parts[:k], y2 @ parts[k:k + y2.shape[1]]
     return AdditiveSplit(p_part=p_part, q_part=q_part, y1=y1, y2=y2), f
 
 

@@ -1,5 +1,8 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -890,3 +893,30 @@ class TestTallPair:
         cli.write_matrix(pb, rng.standard_normal((5, 8)))
         assert cli.main(["gsvd", pa, pb, *flags, "--json", out]) == 0
         assert cli.main(["verify", pa, pb, out]) == 0
+
+
+class TestProcessEntry:
+    # `python -m gsvdkit.cli` runs `entry` and the `__main__` guard, so the
+    # documented exit codes are checked as the process's exit status.
+    @staticmethod
+    def run(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "gsvdkit.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+    def test_exit_statuses(self, worked_example, tmp_path):
+        a, b = worked_example
+        assert self.run("--help").returncode == 0
+        missing = self.run("gsvd", str(tmp_path / "missing.csv"), b)
+        assert missing.returncode == 2
+        assert missing.stderr.startswith("gsvdkit gsvd:")
+        out = str(tmp_path / "factors.json")
+        assert cli.main(["gsvd", a, b, "--json", out]) == 0
+        doc = read_json(out)
+        doc["h"][0][0] += 0.5
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        doctored = self.run("verify", a, b, out)
+        assert doctored.returncode == 5
+        assert "verify: FAIL" in doctored.stderr

@@ -293,11 +293,14 @@ class TestSvdvals:
 
     def test_releases_the_interpreter_lock(self, rng):
         # With a switch interval far longer than the call, the caller is
-        # never asked to drop the lock, so the spinner counts during a call
-        # only if the call releases it.  NumPy's values-only SVD of a
-        # 550 x 200 matrix does not.  A busy host may not schedule the
-        # spinner within one call of a few milliseconds, so the call is
-        # repeated until one overlaps it; one that keeps the lock never does.
+        # never asked to drop the lock, so the spinner advances during a call
+        # only if the call releases it.  A call that keeps the lock can still
+        # let it advance a few times (as SciPy's f2py dgesdd does, 0-3 times
+        # in a 550 x 200 call), so a call counts as overlapped only when the
+        # spinner advances at least a quarter as often as during a sleep of
+        # the call's length.  A busy host may not schedule the spinner within
+        # one call of a few milliseconds, so the call is repeated until one
+        # does.  NumPy's values-only SVD of a 550 x 200 matrix keeps the lock.
         x = rng.standard_normal((550, 200))
         count, started, stop = [0], threading.Event(), threading.Event()
 
@@ -307,6 +310,11 @@ class TestSvdvals:
                 count[0] += 1
                 time.sleep(0)
 
+        def advance(wait):
+            before, start = count[0], time.perf_counter()
+            wait()
+            return count[0] - before, time.perf_counter() - start
+
         spinner = threading.Thread(target=spin)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(100.0)
@@ -315,9 +323,9 @@ class TestSvdvals:
             spinner.start()
             assert started.wait(timeout=60)
             for _ in range(50):
-                before = count[0]
-                matcore._svdvals(x)
-                if count[0] > before:
+                during, elapsed = advance(lambda: matcore._svdvals(x))
+                asleep, _ = advance(lambda: time.sleep(elapsed))
+                if during > 0 and 4 * during >= asleep:
                     overlapped = True
                     break
         finally:
