@@ -279,7 +279,7 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     completion columns are skipped.  W is still completed to r x r when
     m1 < r.  Each Q meets the columns compact format keeps (U's first r,
     V's sine block) in a call of their own, in both formats, and the
-    completion columns in a second call.
+    completion columns in a second call, a rule `matcore._apply_q` owns.
     """
     if not isinstance(tol, Tolerance):
         raise DomainError(f"tol must be a Tolerance, got {tol!r}")
@@ -313,7 +313,8 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
         r = matcore._count_above(sv_st, cut)
         q, rmat, perm = qr()
         qa, qb = q[:top, :r], q[top:, :r]
-        u, cos_raw, w = matcore._svd(qa, complete_u=not compact, complete_v=True)
+        u, cos_raw, w = matcore._svd(qa)
+        u, w = u if compact else matcore._completed(u), matcore._completed(w)
         if qr_a is not None:
             u, w = _lifted(qr_a, u, w, compact)
         sv_a, sv_b = sv_ab()
@@ -351,7 +352,8 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     # [complement | Q[:, :r_b]], the sine block then put back in index
     # order.  Only the columns with an entry in those rows meet it; the
     # others are [0; I], which Q_B, applied to every column, turns into
-    # its own trailing columns.
+    # its own trailing columns, each Q meeting the sine block in a
+    # `matcore._apply_q` call of its own.
     rows, v_start = b.shape[0], 0 if compact else m2 - r_b
     v = np.zeros((m2, v_start + r_b), order="F")
     np.fill_diagonal(v[r_b:, :v_start], 1.0)
@@ -359,12 +361,12 @@ def _decompose(a, b, tol: Tolerance, *, compact: bool = False):
     sines = slice(v_start, None)
     if r_b:
         qr_s = matcore._householder(qbw[:, n_inf:][:, ::-1])
-        _lift(qr_s, v[:rows], sines, slice(0, min(v_start, rows - r_b)))
+        matcore._apply_q(qr_s, v[:rows], sines, slice(0, min(v_start, rows - r_b)))
         flip = np.where(np.diag(qr_s[0]) < 0, -1.0, 1.0)
         del qr_s
         v[:rows, sines] = (v[:rows, sines] * flip)[:, ::-1]
     if qr_b is not None:
-        _lift(qr_b, v, sines, slice(0, v_start))
+        matcore._apply_q(qr_b, v, sines, slice(0, v_start))
 
     h = w.T @ rmat[:r]
     h = h[:, np.argsort(perm)]
@@ -399,23 +401,10 @@ def _lifted(qr_a, u_r: np.ndarray, w: np.ndarray, compact: bool):
     u = np.zeros((m1, r if compact else m1), order="F")
     u[:n, :u_r.shape[1]] = u_r
     np.fill_diagonal(u[n:, n:], 1.0)
-    _lift(qr_a, u, slice(0, r), slice(r, None))
+    matcore._apply_q(qr_a, u, slice(0, r), slice(r, None))
     signs = matcore._leading_signs(u)
     u *= signs
     return u, w * signs[:r]
-
-
-def _lift(qr, x: np.ndarray, kept: slice, rest: slice):
-    # Q x[:, kept] and Q x[:, rest] into x, in two calls: the kept columns
-    # (U's first r, V's sine block), the ones compact format holds, meet
-    # the Q as they do with no others beside them, so compact factors are
-    # the full factors' columns bit for bit.  `matcore._apply_q` writes in
-    # place only into a Fortran-ordered block, and a block of a row slice
-    # (V's R rows for a tall b) comes back as a copy, so the result is
-    # assigned back, which costs nothing when it was in place.
-    for block in (kept, rest):
-        if x[:, block].shape[1]:
-            x[:, block] = matcore._apply_q(qr, x[:, block])
 
 
 # An m x n stacked pair with m * n * min(m, n) below this, the order of

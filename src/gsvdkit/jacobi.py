@@ -148,6 +148,8 @@ def sample_manova(params: JacobiParams, rng) -> np.ndarray:
     `rng` may be a SeededRng (a fresh stream is opened) or a live
     numpy Generator (consumed statefully, for repeated draws).
     """
+    if not isinstance(rng, (SeededRng, np.random.Generator)):
+        raise DomainError(f"rng must be a SeededRng or a numpy Generator, got {rng!r}")
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
     return _cs_sample(params, gen, 1)[0]
 
@@ -195,6 +197,8 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
         raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples for a meaningful check")
+    if not isinstance(rng, SeededRng):
+        raise DomainError(f"rng must be a SeededRng, got {rng!r}")
     gen = rng.generator()
     batch = max(1, int(_BATCH_NORMALS / (params.beta * (params.m1 + params.m2) * params.n)))
     draws = np.empty((n_samples, params.n))

@@ -32,16 +32,24 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Block size of the compact-WY Householder QR in `_qr_apply`.
+# Block size of the compact-WY Householder QR in `_householder`.
 _QR_BLOCK = 32
 
 
 def as_matrix(a) -> np.ndarray:
     """Validate `a` as a 2-D float64 matrix with positive dims, finite entries."""
-    m = np.array(a, dtype=np.float64, copy=True)
+    return _as_matrix(a, min_cols=1)
+
+
+def _as_matrix(a, min_cols: int) -> np.ndarray:
+    # as_matrix, with at least min_cols columns in place of one
+    try:
+        m = np.array(a, dtype=np.float64, copy=True)
+    except (TypeError, ValueError):
+        raise DomainError(f"expected an array of real numbers, got {type(a).__name__}") from None
     if m.ndim != 2:
         raise InvalidDimensions(f"expected a 2-D array, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.shape[0] < 1 or m.shape[1] < min_cols:
         raise InvalidDimensions(f"matrix dimensions must be positive, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
@@ -215,24 +223,24 @@ def _householder(x: np.ndarray):
     return refl, t
 
 
-def _apply_q(qr, c: np.ndarray) -> np.ndarray:
-    # Q @ c for qr = _householder(x), the reflectors applied in blocks
-    # (dgemqrt), so Q is never formed and the work is matrix-matrix even
-    # when x has few columns.  A Fortran-ordered float64 c, a column slice
-    # of a Fortran-ordered array included, is overwritten in place.
-    c, info = lapack.dgemqrt(*qr, c, overwrite_c=1)
-    if info != 0:
-        raise ValueError(f"Householder QR failed: LAPACK info {info}")
-    return c
+def _apply_q(qr, x: np.ndarray, *blocks: slice) -> np.ndarray:
+    # Q x for qr = _householder(...), written back into x by one blocked
+    # call (dgemqrt) per named column block, or one on all of x: a block
+    # in a call of its own gets the same bits whatever x holds beside it,
+    # so compact factors are the full factors' columns bit for bit.
+    for block in blocks or (slice(None),):
+        if x[:, block].shape[1]:
+            x[:, block], info = lapack.dgemqrt(*qr, x[:, block], overwrite_c=1)
+            if info != 0:
+                raise ValueError(f"Householder QR failed: LAPACK info {info}")
+    return x
 
 
-def _qr_apply(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Q @ c for the Householder QR x = Q R of a tall x (rows >= cols).  An
-    # x with no columns has Q = I, so c comes back unchanged: empty blocks
-    # and rank 0 need no route of their own.
-    if x.shape[1] == 0:
-        return c
-    return _apply_q(_householder(x), c)
+def _complement(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # Q [0; I] into out, m x (m - k) zeros, for the Householder QR of an
+    # m x k q (Q = I when k = 0): the columns spanning col(q)'s complement.
+    np.fill_diagonal(out[q.shape[1]:], 1.0)
+    return _apply_q(_householder(q), out) if q.shape[1] else out
 
 
 def _completed(q: np.ndarray) -> np.ndarray:
@@ -244,27 +252,21 @@ def _completed(q: np.ndarray) -> np.ndarray:
         return q
     out = np.zeros((m, m), order="F")
     out[:, :k] = q
-    np.fill_diagonal(out[k:, k:], 1.0)
-    tail = out[:, k:]
-    _qr_apply(q, tail)
+    tail = _complement(q, out[:, k:])
     tail *= _leading_signs(tail)
     return out
 
 
-def _svd(m: np.ndarray, complete_u: bool = False, complete_v: bool = False):
+def _svd(m: np.ndarray):
     # Thin SVD m = u diag(sigma) v' with deterministic column signs, each
     # u column oriented by its leading significant entry and v's flipped in
-    # tandem, then the side(s) asked for completed to square.  A
-    # completion's reflectors do not depend on the column signs.
+    # tandem.  A caller that needs a square factor takes `_completed` of
+    # it, whose reflectors do not depend on the column signs.
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     signs = _leading_signs(u)
     u *= signs
     v = vt.T
     v *= signs
-    if complete_u:
-        u = _completed(u)
-    if complete_v:
-        v = _completed(v)
     return u, sigma, v
 
 
@@ -273,13 +275,14 @@ def full_svd(m):
 
     Returns (u, sigma, v) with sigma descending of length min(rows, cols).
     A thin SVD supplies the singular vectors; the longer side's factor is
-    completed to a square one by `complete_basis`.  Column signs are
-    normalized so factorizations are deterministic.  `pinv` and
-    `orth_basis` take the same oriented SVD thin.  The trailing columns
-    v[:, k:], k = numerical_rank(m), are an orthonormal basis for the
-    nullspace of m.
+    completed to a square one by the Householder QR of its columns.  All
+    column signs are normalized so factorizations are deterministic.
+    `pinv` and `orth_basis` take the same oriented SVD thin.  The trailing
+    columns v[:, k:], k = numerical_rank(m), are an orthonormal basis for
+    the nullspace of m.
     """
-    return _svd(as_matrix(m), complete_u=True, complete_v=True)
+    u, sigma, v = _svd(as_matrix(m))
+    return _completed(u), sigma, _completed(v)
 
 
 def pinv(m) -> np.ndarray:
@@ -309,13 +312,12 @@ def orth_basis(m) -> np.ndarray:
 def complete_basis(q) -> np.ndarray:
     """Orthonormal completion: columns spanning the complement of col(q).
 
-    q must have (numerically) orthonormal columns.  The completion is
+    q: at least one row, finite entries, and (numerically) orthonormal
+    columns or none, which gives the identity.  The completion is
     Q [0; I] for the Householder QR of q, formed without forming Q.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = _as_matrix(q, min_cols=0)
     m, k = q.shape
     if k >= m:
         return np.zeros((m, 0))
-    out = np.zeros((m, m - k), order="F")
-    np.fill_diagonal(out[k:], 1.0)
-    return _qr_apply(q, out)
+    return _complement(q, np.zeros((m, m - k), order="F"))

@@ -137,7 +137,7 @@ def horizontal_projector(f: GsvdFactors, a, b) -> HorizontalProjector:
     vectors of B and A N at rank r - r_b, so the check guards the factors.
     """
     a, b = _check_pair(f, a, b)
-    return _projector(f, a, matcore._svd(b, complete_v=True)[2][:, f.r_b:])
+    return _projector(f, a, matcore._completed(matcore._svd(b)[2])[:, f.r_b:])
 
 
 def _projector(f: GsvdFactors, a: np.ndarray, nb: np.ndarray) -> HorizontalProjector:
@@ -178,7 +178,8 @@ def quotient_check(a, b):
     # for its singular values inside the GSVD and here for null(B) and B^+
     f, sv_a = _decompose(a, b, Tolerance(), compact=True)
     a_norm = float(sv_a[0])
-    ub, sv_b, vb = matcore._svd(b, complete_v=True)
+    ub, sv_b, vb = matcore._svd(b)
+    vb = matcore._completed(vb)
     proj = _projector(f, a, vb[:, f.r_b:])
     abdag = a @ matcore._svd_pinv(ub, sv_b, vb, f.r_b)
     # entries of A B^+ carry absolute noise ~ eps ||A|| ||B^+||; singular

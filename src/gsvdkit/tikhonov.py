@@ -125,6 +125,8 @@ def solve_path(p: TikhonovProblem, lambdas):
     Returns a list of (lambda, x_lambda, damping) with damping the
     per-direction cos^2(theta_lambda) factors in the H0 coordinates.
     """
+    if not np.iterable(lambdas):
+        raise DomainError(f"lambdas must be an iterable of numbers, got {lambdas!r}")
     f = base_factors(p)
     lu = scipy.linalg.lu_factor(f.c[:, None] * f.h)
     # A = U H0 with orthonormal U and invertible H0, so the least-squares

@@ -419,6 +419,11 @@ class TestVerifyCommand:
             (rng.standard_normal((5, 6)),
              rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6))),
             random_pair(rng, 5, 4, 6, rank_a=3, rank_b=2, common_null=2),
+            # past the per-block crossover (m > n, m >= 11n/6): Q_A, Q_B or
+            # both are applied to the factors the document holds
+            (rng.standard_normal((14, 5)), rng.standard_normal((4, 5))),
+            (rng.standard_normal((3, 5)), rng.standard_normal((12, 5))),
+            random_pair(rng, 16, 13, 7, rank_a=3, rank_b=2, common_null=2),
         ]
         for i, (ma, mb) in enumerate(pairs):
             pa = write_csv(tmp_path / f"a{i}.csv", ma.tolist())

@@ -22,6 +22,16 @@ CASES = [
      InvalidDimensions, "matrix dimensions must be positive, got (0, 3)"),
     ("as_matrix nan", lambda: matcore.as_matrix([[np.nan]]),
      DomainError, "matrix entries must be finite"),
+    ("as_matrix string", lambda: matcore.as_matrix("abc"),
+     DomainError, "expected an array of real numbers, got str"),
+    ("complete_basis nan", lambda: matcore.complete_basis([[np.nan], [0.0]]),
+     DomainError, "matrix entries must be finite"),
+    ("complete_basis 1-D", lambda: matcore.complete_basis([1.0, 0.0]),
+     InvalidDimensions, "expected a 2-D array, got ndim=1"),
+    ("complete_basis 3-D", lambda: matcore.complete_basis(np.zeros((2, 2, 1))),
+     InvalidDimensions, "expected a 2-D array, got ndim=3"),
+    ("complete_basis string", lambda: matcore.complete_basis("abc"),
+     DomainError, "expected an array of real numbers, got str"),
     ("as_vector 2-D", lambda: matcore.as_vector(np.ones((2, 2))),
      InvalidDimensions, "expected a vector, got shape (2, 2)"),
     ("as_vector inf", lambda: matcore.as_vector([np.inf]),
@@ -45,6 +55,11 @@ CASES = [
     ("jacobi samples", lambda: jacobi.empirical_check(
         jacobi.JacobiParams(m1=3, m2=3, n=1), 10, jacobi.SeededRng(seed=0)),
      DomainError, "need at least 1000 samples for a meaningful check"),
+    ("sample_manova integer rng", lambda: jacobi.sample_manova(jacobi.JacobiParams(3, 3, 2), 5),
+     DomainError, "rng must be a SeededRng or a numpy Generator, got 5"),
+    ("empirical_check integer rng", lambda: jacobi.empirical_check(
+        jacobi.JacobiParams(m1=3, m2=3, n=1), 1000, 5),
+     DomainError, "rng must be a SeededRng, got 5"),
     ("jacobi fractional n", lambda: jacobi.JacobiParams(5, 5, 2.5),
      InvalidDimensions, "n must be an integer, got 2.5"),
     ("jacobi fractional samples", lambda: jacobi.empirical_check(
@@ -105,6 +120,8 @@ CASES = [
      DomainError, f"lambda must be finite and nonnegative, got {10**400}"),
     ("lambda bool", lambda: tikhonov.lambda_factors(_problem(), True),
      DomainError, "lambda must be finite and nonnegative, got True"),
+    ("solve_path one lambda", lambda: tikhonov.solve_path(_problem(), 1.0),
+     DomainError, "lambdas must be an iterable of numbers, got 1.0"),
     ("additive_split y1 rows", lambda: subgeom.additive_split(np.ones((3, 2)), np.ones((4, 1))),
      DimensionMismatch, "y1 has 4 rows, expected 3"),
     ("discriminant_reduce data rows", lambda: stats.discriminant_reduce(

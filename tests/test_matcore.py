@@ -206,15 +206,17 @@ class TestThinRoutes:
 
     @pytest.mark.parametrize("kind", ["tall", "wide", "square"])
     def test_completes_only_what_is_asked(self, rng, kind):
+        # _svd is thin; _completed makes either factor square and keeps
+        # its columns as they were
         m = THIN_ROUTE_INPUTS[kind](rng)
         rows, cols = m.shape
         k = min(rows, cols)
         u, _, v = matcore._svd(m)
         assert u.shape == (rows, k) and v.shape == (cols, k)
-        _, _, v = matcore._svd(m, complete_v=True)
-        assert v.shape == (cols, cols)
-        u, _, _ = matcore._svd(m, complete_u=True)
-        assert u.shape == (rows, rows)
+        for thin, size in ((u, rows), (v, cols)):
+            square = matcore._completed(thin)
+            assert square.shape == (size, size)
+            np.testing.assert_array_equal(square[:, :k], thin)
 
 
 class TestPinv:
