@@ -41,12 +41,18 @@ def as_matrix(a) -> np.ndarray:
     return _as_matrix(a, min_cols=1)
 
 
-def _as_matrix(a, min_cols: int) -> np.ndarray:
-    # as_matrix, with at least min_cols columns in place of one
+def _as_array(a) -> np.ndarray:
+    # a as a float64 copy, or DomainError naming the type of an a that is
+    # no array of real numbers
     try:
-        m = np.array(a, dtype=np.float64, copy=True)
+        return np.array(a, dtype=np.float64, copy=True)
     except (TypeError, ValueError):
         raise DomainError(f"expected an array of real numbers, got {type(a).__name__}") from None
+
+
+def _as_matrix(a, min_cols: int) -> np.ndarray:
+    # as_matrix, with at least min_cols columns in place of one
+    m = _as_array(a)
     if m.ndim != 2:
         raise InvalidDimensions(f"expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < min_cols:
@@ -58,7 +64,7 @@ def _as_matrix(a, min_cols: int) -> np.ndarray:
 
 def as_vector(a) -> np.ndarray:
     """Validate `a` as a 1-D float64 vector (a single-row/column 2-D array is flattened)."""
-    v = np.array(a, dtype=np.float64, copy=True)
+    v = _as_array(a)
     if v.ndim == 2 and 1 in v.shape:
         v = v.ravel()
     if v.ndim != 1 or v.size < 1:

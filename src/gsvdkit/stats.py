@@ -92,7 +92,7 @@ def cluster_design(partition) -> ClusterDesign:
     True raises InvalidPartition rather than being truncated, parsed or
     counted as 1.
     """
-    sizes = list(partition)
+    sizes = list(partition) if np.iterable(partition) else partition
     try:
         parts = [int(x) for x in sizes]
     except (TypeError, ValueError, OverflowError):
@@ -162,6 +162,7 @@ def apportion(f: GsvdFactors) -> Apportionment:
     is surfaced since a badly conditioned H makes the per-row attribution
     shaky.
     """
+    gsvd._check_factors(f)
     angles = f.theta()
     if f.r:
         sv = matcore._svdvals(f.h)

@@ -145,6 +145,7 @@ def additive_split(m, y1):
 
 def ellipse_data(f: GsvdFactors) -> EllipseData:
     """Semi-axes, unit-sphere hypotenuses, and angles for the ellipse picture."""
+    gsvd._check_factors(f)
     cdirs = f.u_dirs()
     sdirs = f.v_dirs()
     sphere = np.vstack([cdirs * f.c, sdirs * f.s])
@@ -222,6 +223,7 @@ def lemniscate_residual(a, x) -> float:
 
 def lemniscate_residual2(f: GsvdFactors, x) -> float:
     """Residual of ||x||^2 ||S H x||^4 = ||C H x||^4; zero on Energy(A, B)."""
+    gsvd._check_factors(f)
     x = _check_length("x", as_vector(x), "H", f.n)
     hx = f.h @ x
     shx2 = float(np.dot(f.s**2 * hx, hx))

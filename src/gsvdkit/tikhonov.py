@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import gsvd
 from .errors import DimensionMismatch, DomainError, SingularH
-from .matcore import _as_real, as_matrix, as_vector
+from .matcore import Tolerance, _as_real, as_matrix, as_vector
 
 __all__ = [
     "TikhonovProblem",
@@ -66,7 +66,7 @@ class TikhonovProblem:
             raise DimensionMismatch(
                 f"b has length {b.size}, expected {a.shape[0]}"
             )
-        f = gsvd.gsvd_decompose(a, l, compact=True)
+        f = gsvd._decompose(a, l, Tolerance(), compact=True)[0]
         if f.r_a < a.shape[1]:
             raise SingularH(
                 f"A must have full column rank: rank {f.r_a} < {a.shape[1]} columns"
@@ -92,8 +92,14 @@ class LambdaFactors:
         return self.c_lambda**2
 
 
+def _check_problem(p) -> None:
+    if not isinstance(p, TikhonovProblem):
+        raise DomainError(f"expected a TikhonovProblem, got {type(p).__name__}")
+
+
 def base_factors(p: TikhonovProblem) -> gsvd.GsvdFactors:
     """Compact GSVD of (A, L) at lambda = 1; r = r_a = n, so every cosine is positive."""
+    _check_problem(p)
     return p._factors
 
 
@@ -108,6 +114,7 @@ def _check_lambda(lam) -> float:
 
 def lambda_factors(p: TikhonovProblem, lam: float) -> LambdaFactors:
     """Closed-form factors of [A; lam L] scaled from the lambda = 1 anchor."""
+    _check_problem(p)
     lam = _check_lambda(lam)
     f = base_factors(p)
     denom = np.hypot(f.c, lam * f.s)
@@ -124,28 +131,28 @@ def solve_path(p: TikhonovProblem, lambdas):
 
     Returns a list of (lambda, x_lambda, damping) with damping the
     per-direction cos^2(theta_lambda) factors in the H0 coordinates.
+    Every lambda is checked first; the dampings of the grid then form one
+    array, one row per lambda, and one LU solve with H0 takes all their
+    right-hand sides at once.  An empty grid gives an empty list.
     """
+    _check_problem(p)
     if not np.iterable(lambdas):
         raise DomainError(f"lambdas must be an iterable of numbers, got {lambdas!r}")
+    lams = np.array([_check_lambda(lam) for lam in lambdas], dtype=float)
     f = base_factors(p)
-    lu = scipy.linalg.lu_factor(f.c[:, None] * f.h)
+    # lam^2 overflows past about 1.3e154; the largest float in its place
+    # keeps the damping at its limit, 1 where s_i = 0 and below 1e-300
+    # elsewhere, since s_i <= 1 keeps lam^2 s_i^2 finite.
+    with np.errstate(over="ignore"):
+        lam2 = np.minimum(lams**2, np.finfo(np.float64).max)
+    c2 = f.c**2
+    damp = c2 / (c2 + lam2[:, None] * f.s**2)
     # A = U H0 with orthonormal U and invertible H0, so the least-squares
-    # solution x0 has H0 x0 = U' b.
-    y0 = f.u.T @ p.b
-    out = []
-    for lam in lambdas:
-        lam = _check_lambda(lam)
-        # lam**2 overflows past about 1.3e154; the largest float in its
-        # place keeps the damping at its limit, 1 where s_i = 0 and below
-        # 1e-300 elsewhere, since s_i <= 1 keeps lam^2 s_i^2 finite.
-        try:
-            lam2 = lam**2
-        except OverflowError:
-            lam2 = np.finfo(np.float64).max
-        damp = f.c**2 / (f.c**2 + lam2 * f.s**2)
-        x = scipy.linalg.lu_solve(lu, damp * y0)
-        out.append((float(lam), x, damp))
-    return out
+    # solution x0 has H0 x0 = U' b.  The right-hand sides are the columns
+    # of damp' (Fortran order), solved in place, so each x is a row.
+    lu = scipy.linalg.lu_factor(f.c[:, None] * f.h)
+    x = scipy.linalg.lu_solve(lu, (damp * (f.u.T @ p.b)).T, overwrite_b=True).T
+    return [(float(lam), xi, d) for lam, xi, d in zip(lams, x, damp)]
 
 
 def direct_solve(p: TikhonovProblem, lam: float) -> np.ndarray:
@@ -159,6 +166,7 @@ def direct_solve(p: TikhonovProblem, lam: float) -> np.ndarray:
     within null(L).  Past lambda = 1 the system is divided by lambda,
     which leaves its solution unchanged and keeps lam L from overflowing.
     """
+    _check_problem(p)
     lam = _check_lambda(lam)
     t = max(lam, 1.0)
     q, r = np.linalg.qr(np.vstack([(lam / t) * p.l, p.a / t]))

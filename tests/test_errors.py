@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from gsvdkit import gsvd, jacobi, matcore, quotient, stats, subgeom, tikhonov
-from gsvdkit.errors import DimensionMismatch, DomainError, InvalidDimensions, NotOrthonormal
+from gsvdkit.errors import (
+    DimensionMismatch,
+    DomainError,
+    InvalidDimensions,
+    InvalidPartition,
+    NotOrthonormal,
+)
 
 
 def _full():
@@ -130,7 +136,58 @@ CASES = [
     ("gsvd_decompose float tol", lambda: gsvd.gsvd_decompose(
         np.diag([3.0, 4.0]), np.ones((1, 2)), 1e-3),
      DomainError, "tol must be a Tolerance, got 0.001"),
+    ("as_vector string", lambda: matcore.as_vector("abc"),
+     DomainError, "expected an array of real numbers, got str"),
+    ("energy_point string e", lambda: subgeom.energy_point(np.eye(2), "ab"),
+     DomainError, "expected an array of real numbers, got str"),
+    ("anova_f string data", lambda: stats.anova_f(stats.cluster_design([2, 2]), "abcd"),
+     DomainError, "expected an array of real numbers, got str"),
+    ("TikhonovProblem string b", lambda: tikhonov.TikhonovProblem(np.eye(3), np.eye(3), "abc"),
+     DomainError, "expected an array of real numbers, got str"),
+    ("jacobi_log_density None", lambda: jacobi.jacobi_log_density(
+        jacobi.JacobiParams(3, 3, 2), None),
+     InvalidDimensions, "expected a vector, got shape ()"),
+    ("jacobi_log_density string", lambda: jacobi.jacobi_log_density(
+        jacobi.JacobiParams(3, 3, 2), "abc"),
+     DomainError, "expected an array of real numbers, got str"),
+    ("cluster_design number", lambda: stats.cluster_design(3.0),
+     InvalidPartition, "need k >= 2 cluster sizes, all whole numbers >= 1, got 3.0"),
 ]
+
+_PAIR = (np.diag([3.0, 4.0]), np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+# Each public function whose first parameter is a library object, given 5.
+_WRONG_OBJECT = [
+    ("GsvdFactors", [
+        ("compact", lambda: gsvd.compact(5)),
+        ("with_top_convention", lambda: gsvd.with_top_convention(5)),
+        ("structure_counts", lambda: gsvd.structure_counts(5)),
+        ("expand", lambda: gsvd.expand(5)),
+        ("rq_drilldown", lambda: gsvd.rq_drilldown(5)),
+        ("fundamental_subspaces", lambda: gsvd.fundamental_subspaces(5, *_PAIR)),
+        ("rank_reduce", lambda: gsvd.rank_reduce(5, *_PAIR, 1)),
+        ("trig_table", lambda: quotient.trig_table(5, *_PAIR)),
+        ("horizontal_projector", lambda: quotient.horizontal_projector(5, *_PAIR)),
+        ("limit_curve", lambda: quotient.limit_curve(5, 0.1)),
+        ("ellipse_data", lambda: subgeom.ellipse_data(5)),
+        ("lemniscate_residual2", lambda: subgeom.lemniscate_residual2(5, [1.0, 0.0])),
+        ("apportion", lambda: stats.apportion(5)),
+    ]),
+    ("JacobiParams", [
+        ("sample_manova", lambda: jacobi.sample_manova(5, jacobi.SeededRng(0))),
+        ("jacobi_log_density", lambda: jacobi.jacobi_log_density(5, [0.5])),
+        ("empirical_check", lambda: jacobi.empirical_check(5, 1000, jacobi.SeededRng(0))),
+    ]),
+    ("TikhonovProblem", [
+        ("base_factors", lambda: tikhonov.base_factors(5)),
+        ("lambda_factors", lambda: tikhonov.lambda_factors(5, 1.0)),
+        ("solve_path", lambda: tikhonov.solve_path(5, [1.0])),
+        ("direct_solve", lambda: tikhonov.direct_solve(5, 1.0)),
+    ]),
+]
+
+CASES += [(f"{name} of an int", call, DomainError, f"expected a {kind}, got int")
+          for kind, calls in _WRONG_OBJECT for name, call in calls]
 
 
 @pytest.mark.parametrize("call, error, message", [case[1:] for case in CASES],

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gsvdkit import matcore
+from gsvdkit import matcore, quotient, tikhonov
 from gsvdkit.errors import DomainError
 from gsvdkit.matcore import Tolerance
 
@@ -25,6 +25,23 @@ class TestValidation:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             matcore.as_matrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda: tikhonov.TikhonovProblem(np.eye(3), np.eye(3), np.ones(3)),
+        lambda: quotient.quotient_check(np.diag([3.0, 4.0]), np.ones((1, 2))),
+    ], ids=["TikhonovProblem", "quotient_check"])
+    def test_each_matrix_argument_converted_once(self, call, monkeypatch):
+        # the decomposition inside takes the matrices its caller converted
+        calls = []
+        as_matrix = matcore._as_matrix
+
+        def counted(a, min_cols):
+            calls.append(a)
+            return as_matrix(a, min_cols)
+
+        monkeypatch.setattr(matcore, "_as_matrix", counted)
+        call()
+        assert len(calls) == 2
 
     def test_vector_from_column(self):
         v = matcore.as_vector([[1.0], [2.0]])

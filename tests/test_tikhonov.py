@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gsvdkit import gsvd, tikhonov
 from gsvdkit.errors import DimensionMismatch, DomainError, SingularH
@@ -44,13 +45,13 @@ class TestProblem:
 
     def test_one_decomposition_per_problem(self, rng, monkeypatch):
         calls = []
-        decompose = gsvd.gsvd_decompose
+        decompose = gsvd._decompose
 
         def counted(*args, **kwargs):
             calls.append(args)
             return decompose(*args, **kwargs)
 
-        monkeypatch.setattr(gsvd, "gsvd_decompose", counted)
+        monkeypatch.setattr(gsvd, "_decompose", counted)
         p = random_problem(rng)
         tikhonov.solve_path(p, [0.0, 1.0, 10.0])
         for lam in (0.5, 1.0, 2.0):
@@ -177,6 +178,28 @@ class TestSolvePath:
             assert np.all(damp[s == 0] == 1.0)
             assert np.all(damp[s > 0] <= 1e-300)
             np.testing.assert_allclose(x, want, rtol=1e-12)
+
+    def test_one_solve_matches_a_solve_per_lambda(self, rng):
+        # The solve of the whole grid against one lu_solve per lambda, as
+        # c^2 / (c^2 + lam^2 s^2) with lam^2 capped at the largest float.
+        p = tikhonov.TikhonovProblem(rng.standard_normal((30, 6)), np.diff(np.eye(6), axis=0),
+                                     rng.standard_normal(30))
+        lambdas = [0.0, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e200, sys.float_info.max]
+        f = tikhonov.base_factors(p)
+        lu = scipy.linalg.lu_factor(f.c[:, None] * f.h)
+        y0 = f.u.T @ p.b
+        path = tikhonov.solve_path(p, lambdas)
+        assert [lam for lam, _, _ in path] == lambdas
+        for lam, x, damp in path:
+            lam2 = min(lam * lam, sys.float_info.max)
+            want = f.c**2 / (f.c**2 + lam2 * f.s**2)
+            assert np.array_equal(damp, want)
+            ref = scipy.linalg.lu_solve(lu, want * y0)
+            assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+            assert x.flags.c_contiguous
+
+    def test_empty_grid(self, rng):
+        assert tikhonov.solve_path(random_problem(rng), []) == []
 
 
 class TestDirectSolve:
