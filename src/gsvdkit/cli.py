@@ -28,7 +28,6 @@ from .errors import (
     CsvParseError,
     DimensionMismatch,
     DocumentError,
-    DomainError,
     GsvdKitError,
     InvalidPartition,
 )
@@ -65,6 +64,9 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
                 rows.append(row)
     except OSError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
+    except csv.Error as exc:
+        # a record the csv module refuses, such as a field past its size limit
+        raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
@@ -86,11 +88,6 @@ def write_matrix(path: str, m: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------- factor documents
-
-def generalized_value_tokens(f: gsvd.GsvdFactors):
-    """Finite values as numbers, infinite ones as the token "inf"."""
-    return ["inf" if np.isinf(x) else float(x) for x in f.cotangents()]
-
 
 def factors_to_document(f: gsvd.GsvdFactors, tol: Tolerance, convention: str) -> dict:
     return {
@@ -115,7 +112,7 @@ def _derived_keys(f: gsvd.GsvdFactors) -> dict:
     angles = f.theta()
     return {
         "structure": dataclasses.asdict(gsvd.structure_counts(f)),
-        "generalized_values": generalized_value_tokens(f),
+        "generalized_values": ["inf" if np.isinf(x) else float(x) for x in f.cotangents()],
         "angles": angles.tolist(),
         "apportionment": {
             "theta_lo": stats.THETA_LO,
@@ -258,7 +255,10 @@ def cmd_verify(args) -> int:
     a = read_matrix(args.a, args.header)
     b = read_matrix(args.b, args.header)
     with open(args.json, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise DocumentError(f"{args.json}: nested too deeply to read") from None
     f = factors_from_document(doc)
     tol = _document_tolerance(doc)
     a, b = gsvd._check_pair(f, a, b)
@@ -322,9 +322,7 @@ def cmd_tikhonov(args) -> int:
     a = read_matrix(args.a, args.header)
     l = read_matrix(args.l, args.header)
     b = read_vector(args.b, args.header)
-    lambdas = _parse_list(args.lambdas, "--lambdas", float)
-    if not all(0 <= x < math.inf for x in lambdas):
-        raise DomainError("--lambdas entries must be finite and nonnegative")
+    lambdas = _parse_list(args.lambdas, "--lambdas", lambda x: tikhonov._check_lambda(float(x)))
     problem = tikhonov.TikhonovProblem(a, l, b)
     path = tikhonov.solve_path(problem, lambdas)
     print(f"{'lambda':>12} {'||x||':>18}")
@@ -523,6 +521,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"gsvdkit {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # NumPy's names the allocation it refused; a bare one has no text
+        print(f"gsvdkit {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

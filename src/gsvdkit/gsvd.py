@@ -292,10 +292,7 @@ def _decompose(a: np.ndarray, b: np.ndarray, tol: Tolerance, *, compact: bool = 
     # a cross-check reference) do not factor A again.  Its callers hand it
     # a and b already converted (`as_matrix`, or matrices they computed),
     # which it reads and never writes, so it converts nothing again.
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
-        )
+    matcore._check_columns(a, b)
     m1, m2 = a.shape[0], b.shape[0]
     stacked, top, qr_a, qr_b = _stacked(a, b)
     # views of the stacked copy, so the copies gsvd_decompose converted are freed
@@ -509,14 +506,9 @@ def _ranks(a: np.ndarray, b: np.ndarray, tol: Tolerance):
         sv_st, matcore._svdvals(stacked[:top]), matcore._svdvals(stacked[top:])))
 
 
-def _check_factors(f) -> None:
-    if not isinstance(f, GsvdFactors):
-        raise DomainError(f"expected a GsvdFactors, got {type(f).__name__}")
-
-
 def structure_counts(f: GsvdFactors) -> CsStructure:
     """Block-column and zero-row counts determined by (r, r_a, r_b)."""
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     return CsStructure(
         n_infinite=f.n_infinite,
         n_finite=f.n_finite,
@@ -536,7 +528,7 @@ def fundamental_subspaces(f: GsvdFactors, a, b) -> FundamentalBases:
     taken at the rank r of the factors, with the common nullspace, which is
     null(H), read from the RQ drilldown.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     if f.compact:
         raise DimensionMismatch("fundamental_subspaces needs full-format factors")
     _check_pair(f, a, b)
@@ -563,7 +555,7 @@ def compact(f: GsvdFactors) -> GsvdFactors:
     left-nullspace bases are gone.  V keeps its sine block, the v_i in index
     order, so either convention compacts to the same factors.  Idempotent.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     if f.compact:
         return f
     return dataclasses.replace(f, u=f.u[:, : f.r_a], v=f.v[:, f.v_start:f.v_start + f.r_b],
@@ -592,7 +584,7 @@ def expand(f: GsvdFactors):
     [A; B] = [U C_exp; V S_exp] H_exp.  The r of the factors is the only
     rank decision, so H_exp is n x n at every tolerance.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     pad = f.n - f.r
     c_exp = np.hstack([f.c_matrix(), np.zeros((f.u.shape[1], pad))])
     s_exp = np.hstack([f.s_matrix(), np.zeros((f.v.shape[1], pad))])
@@ -609,7 +601,7 @@ def rq_drilldown(f: GsvdFactors):
     nullspace of A and B.  Signs are normalized (R diagonal nonnegative,
     leading entries of the nullspace columns nonnegative) for determinism.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     rfac, qfac = scipy.linalg.rq(f.h, mode="full")
     k = f.n - f.r
     t = rfac[:, k:]
@@ -627,7 +619,7 @@ def rank_reduce(f: GsvdFactors, a, b, k: int):
     multiplying [A; B] on the right by the oblique projector
     H^+ I_{r,k} I_{r,k}' H.  k = r rebuilds the pair and k = 0 gives zeros.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     _check_pair(f, a, b)
     if not matcore._is_integer(k) or not 0 <= k <= f.r:
         raise RankOutOfRange(f"k must be an integer in [0, {f.r}], got {k!r}")
@@ -710,5 +702,5 @@ def with_top_convention(f: GsvdFactors) -> GsvdFactors:
     in, full or compact, gives the top layout out, and applying it twice
     changes nothing.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     return dataclasses.replace(f, v=np.hstack(_v_split(f)), v_start=0)

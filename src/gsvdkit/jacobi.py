@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidDimensions, UnsupportedBeta
-from .matcore import _as_real, _is_integer, as_vector
+from .matcore import _as_real, _check_type, _is_integer, as_vector
 
 __all__ = [
     "JacobiParams",
@@ -130,11 +130,6 @@ def manova_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inv_sqrt @ aa @ inv_sqrt
 
 
-def _check_params(params) -> None:
-    if not isinstance(params, JacobiParams):
-        raise DomainError(f"expected a JacobiParams, got {type(params).__name__}")
-
-
 def _cs_sample(params: JacobiParams, gen: np.random.Generator, k: int) -> np.ndarray:
     # k rows of squared cosines, ascending.  A sample's normals are A then B
     # (beta 2: real [A; B], then imaginary), so k at once equal k single draws.
@@ -153,7 +148,7 @@ def sample_manova(params: JacobiParams, rng) -> np.ndarray:
     `rng` may be a SeededRng (a fresh stream is opened) or a live
     numpy Generator (consumed statefully, for repeated draws).
     """
-    _check_params(params)
+    _check_type(params, JacobiParams)
     if not isinstance(rng, (SeededRng, np.random.Generator)):
         raise DomainError(f"rng must be a SeededRng or a numpy Generator, got {rng!r}")
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
@@ -166,7 +161,7 @@ def jacobi_log_density(params: JacobiParams, lambdas) -> float:
     Order independent (the list is sorted internally).  The normalization
     constant is a Gamma-function product evaluated through log-Gamma.
     """
-    _check_params(params)
+    _check_type(params, JacobiParams)
     lam = np.sort(as_vector(lambdas))
     if lam.size != params.n:
         raise DomainError(f"expected {params.n} eigenvalues, got {lam.size}")
@@ -200,7 +195,7 @@ def empirical_check(params: JacobiParams, n_samples: int, rng: SeededRng) -> Emp
     n the mean of the eigenvalue sum is reported with its standard error,
     plus a split-half self-consistency gap in standard-error units.
     """
-    _check_params(params)
+    _check_type(params, JacobiParams)
     if not _is_integer(n_samples):
         raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:

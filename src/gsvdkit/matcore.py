@@ -1,8 +1,11 @@
 """Dense-matrix numeric foundation: validation, rank, QR, SVD, pseudoinverse.
 
-Everything operates on plain float64 ndarrays and is pure; `as_matrix` is
-the single gate where inputs are checked (shape, finiteness), downstream
-code assumes validated data.
+Everything operates on plain float64 ndarrays and is pure.  The shared
+gates live here, each the one copy of its check: `as_matrix` checks a
+matrix input (shape, finiteness), `_check_type` that an argument is an
+instance of the class a function takes (a `GsvdFactors`, a
+`TikhonovProblem`, a `JacobiParams`), and `_check_columns` that a pair has
+one column count.  Downstream code assumes validated data.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cython_lapack, lapack
 
-from .errors import DomainError, InvalidDimensions
+from .errors import DimensionMismatch, DomainError, InvalidDimensions
 
 __all__ = [
     "EPS",
@@ -72,6 +75,20 @@ def as_vector(a) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DomainError("vector entries must be finite")
     return v
+
+
+def _check_type(x, cls) -> None:
+    # DomainError naming both types unless x is a cls
+    if not isinstance(x, cls):
+        raise DomainError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
+def _check_columns(a: np.ndarray, b: np.ndarray) -> None:
+    # DimensionMismatch unless the pair's blocks have one column count
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(
+            f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
+        )
 
 
 def _is_integer(x) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     NoAugmentationNeeded,
     NumericalCheckFailed,
 )
-from .gsvd import GsvdFactors, _check_factors, _check_pair, _decompose, _h_pinv, _v_split
+from .gsvd import GsvdFactors, _check_pair, _decompose, _h_pinv, _v_split
 from .matcore import Tolerance, as_matrix
 
 __all__ = [
@@ -102,7 +102,7 @@ def trig_table(f: GsvdFactors, a, b) -> TrigTable:
     are cut at the factors' r, r_a and r_b, so no rank is judged again at
     a block's own scale.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     a, b = _check_pair(f, a, b)
     hdag = _h_pinv(f)
     rows = []
@@ -137,7 +137,7 @@ def horizontal_projector(f: GsvdFactors, a, b) -> HorizontalProjector:
     their ranks from the factors, N as the trailing n - r_b right singular
     vectors of B and A N at rank r - r_b, so the check guards the factors.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     a, b = _check_pair(f, a, b)
     return _projector(f, a, matcore._completed(matcore._svd(b)[2])[:, f.r_b:])
 
@@ -206,7 +206,7 @@ def limit_curve(f: GsvdFactors, epsilon: float) -> LimitCurve:
     V is rebuilt as [remaining columns | sine block] and the r sines take
     its last r columns, so either convention gives the same pair.
     """
-    _check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     eps = matcore._as_real(epsilon)
     if not 0.0 < eps < np.pi / 4:
         raise DomainError(f"epsilon must lie in (0, pi/4), got {epsilon!r}")

@@ -162,7 +162,7 @@ def apportion(f: GsvdFactors) -> Apportionment:
     is surfaced since a badly conditioned H makes the per-row attribution
     shaky.
     """
-    gsvd._check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     angles = f.theta()
     if f.r:
         sv = matcore._svdvals(f.h)

@@ -145,7 +145,7 @@ def additive_split(m, y1):
 
 def ellipse_data(f: GsvdFactors) -> EllipseData:
     """Semi-axes, unit-sphere hypotenuses, and angles for the ellipse picture."""
-    gsvd._check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     cdirs = f.u_dirs()
     sdirs = f.v_dirs()
     sphere = np.vstack([cdirs * f.c, sdirs * f.s])
@@ -193,10 +193,7 @@ def energy_point2(a, b, e) -> np.ndarray:
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: A has {a.shape[1]}, B has {b.shape[1]}"
-        )
+    matcore._check_columns(a, b)
     e = _check_unit(_check_length("e", as_vector(e), "A", a.shape[1]))
     den = float(np.dot(b @ e, b @ e))
     scale = float(np.linalg.norm(b)) ** 2
@@ -223,7 +220,7 @@ def lemniscate_residual(a, x) -> float:
 
 def lemniscate_residual2(f: GsvdFactors, x) -> float:
     """Residual of ||x||^2 ||S H x||^4 = ||C H x||^4; zero on Energy(A, B)."""
-    gsvd._check_factors(f)
+    matcore._check_type(f, GsvdFactors)
     x = _check_length("x", as_vector(x), "H", f.n)
     hx = f.h @ x
     shx2 = float(np.dot(f.s**2 * hx, hx))

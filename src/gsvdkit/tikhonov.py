@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import gsvd
 from .errors import DimensionMismatch, DomainError, SingularH
-from .matcore import Tolerance, _as_real, as_matrix, as_vector
+from .matcore import Tolerance, _as_real, _check_type, as_matrix, as_vector
 
 __all__ = [
     "TikhonovProblem",
@@ -92,14 +92,9 @@ class LambdaFactors:
         return self.c_lambda**2
 
 
-def _check_problem(p) -> None:
-    if not isinstance(p, TikhonovProblem):
-        raise DomainError(f"expected a TikhonovProblem, got {type(p).__name__}")
-
-
 def base_factors(p: TikhonovProblem) -> gsvd.GsvdFactors:
     """Compact GSVD of (A, L) at lambda = 1; r = r_a = n, so every cosine is positive."""
-    _check_problem(p)
+    _check_type(p, TikhonovProblem)
     return p._factors
 
 
@@ -114,9 +109,9 @@ def _check_lambda(lam) -> float:
 
 def lambda_factors(p: TikhonovProblem, lam: float) -> LambdaFactors:
     """Closed-form factors of [A; lam L] scaled from the lambda = 1 anchor."""
-    _check_problem(p)
+    _check_type(p, TikhonovProblem)
     lam = _check_lambda(lam)
-    f = base_factors(p)
+    f = p._factors
     denom = np.hypot(f.c, lam * f.s)
     c_lam = f.c / denom
     s_lam = lam * f.s / denom
@@ -135,11 +130,11 @@ def solve_path(p: TikhonovProblem, lambdas):
     array, one row per lambda, and one LU solve with H0 takes all their
     right-hand sides at once.  An empty grid gives an empty list.
     """
-    _check_problem(p)
+    _check_type(p, TikhonovProblem)
     if not np.iterable(lambdas):
         raise DomainError(f"lambdas must be an iterable of numbers, got {lambdas!r}")
     lams = np.array([_check_lambda(lam) for lam in lambdas], dtype=float)
-    f = base_factors(p)
+    f = p._factors
     # lam^2 overflows past about 1.3e154; the largest float in its place
     # keeps the damping at its limit, 1 where s_i = 0 and below 1e-300
     # elsewhere, since s_i <= 1 keeps lam^2 s_i^2 finite.
@@ -166,7 +161,7 @@ def direct_solve(p: TikhonovProblem, lam: float) -> np.ndarray:
     within null(L).  Past lambda = 1 the system is divided by lambda,
     which leaves its solution unchanged and keeps lam L from overflowing.
     """
-    _check_problem(p)
+    _check_type(p, TikhonovProblem)
     lam = _check_lambda(lam)
     t = max(lam, 1.0)
     q, r = np.linalg.qr(np.vstack([(lam / t) * p.l, p.a / t]))

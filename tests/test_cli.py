@@ -370,6 +370,13 @@ class TestVerifyCommand:
         assert cli.main(["verify", a, b, out]) == 2
         assert capsys.readouterr().err.startswith("gsvdkit verify: ")
 
+    def test_deeply_nested_document_exits_2(self, worked_example, tmp_path, capsys):
+        a, b = worked_example
+        out = tmp_path / "factors.json"
+        out.write_text("[" * 200000 + "]" * 200000)
+        assert cli.main(["verify", a, b, str(out)]) == 2
+        assert capsys.readouterr().err == f"gsvdkit verify: {out}: nested too deeply to read\n"
+
     @pytest.mark.parametrize("key, value", [("ra", 3), ("ra", 0), ("rb", 2)])
     def test_ranks_contradicting_the_values_exit_3(self, tmp_path, key, value, capsys):
         # full format: U and V are square whatever ra and rb say, so only
@@ -656,6 +663,17 @@ class TestTikhonovCommand:
                          str(tmp_path / "l.csv"), str(tmp_path / "b.csv"),
                          "--lambdas", "0,-1"]) == 2
 
+    def test_bad_lambda_is_refused_by_the_library_check(self, tmp_path, monkeypatch, capsys):
+        # one range check, the library's, named by the flag and run before
+        # any decomposition
+        files = [write_csv(tmp_path / "a.csv", [[1, 0], [0, 1], [1, 1]]),
+                 write_csv(tmp_path / "l.csv", np.eye(2).tolist()),
+                 write_csv(tmp_path / "b.csv", [[1], [2], [3]])]
+        monkeypatch.setattr(gsvd, "_decompose", None)
+        assert cli.main(["tikhonov", *files, "--lambdas", "1,-1"]) == 2
+        assert capsys.readouterr().err == (
+            "gsvdkit tikhonov: --lambdas: lambda must be finite and nonnegative, got -1.0\n")
+
 
 class TestAnovaCommand:
     def test_reference_f_value(self, tmp_path, capsys):
@@ -773,6 +791,22 @@ class TestJacobiCommand:
         assert cli.main(["jacobi", "--m1", "3", "--m2", "5", "--n", "1", *flags]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error, reason", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                     "(1000000000000, 1) and data type float64"),
+         "Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000, 1) and data type float64"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_refused_allocation_exit_2(self, monkeypatch, capsys, error, reason):
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(jacobi, "empirical_check", refuse)
+        assert cli.main(["jacobi", "--m1", "3", "--m2", "3", "--n", "1",
+                         "--samples", "1000000000000"]) == 2
+        assert capsys.readouterr().err == f"gsvdkit jacobi: {reason}\n"
+
 
 class TestInputEdges:
     def test_blank_lines_are_skipped(self, worked_example, tmp_path, capsys):
@@ -831,6 +865,13 @@ class TestReadMatrix:
         if name != "a.csv.gz":
             assert name in err and "No such file" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv.gz"]
+
+    def test_field_past_the_csv_limit_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n" + "1" * 131073 + ",2\n")
+        assert cli.main(["gsvd", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"gsvdkit gsvd: {bad}:2: field larger than field limit (131072)\n")
 
 
 class TestPartitionEdges:
