@@ -63,6 +63,8 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
                     )
                 rows.append(row)
     except OSError as exc:
+        raise CsvParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
     except csv.Error as exc:
         # a record the csv module refuses, such as a field past its size limit
@@ -259,6 +261,8 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
         except RecursionError:
             raise DocumentError(f"{args.json}: nested too deeply to read") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DocumentError(f"{args.json}: {exc}") from exc
     f = factors_from_document(doc)
     tol = _document_tolerance(doc)
     a, b = gsvd._check_pair(f, a, b)
@@ -351,7 +355,7 @@ def cmd_anova(args) -> int:
 def cmd_ellipse(args) -> int:
     a = read_matrix(args.a, args.header)
     b = read_matrix(args.b, args.header)
-    f = gsvd.gsvd_decompose(a, b, Tolerance(rel=args.tol))
+    f = gsvd.gsvd_decompose(a, b, Tolerance(rel=args.tol), compact=True)
     data = subgeom.ellipse_data(f)
     print(f"cosine semi-axis lengths: {_fmt_values(data.cosine_lengths.tolist())}")
     print(f"sine semi-axis lengths:   {_fmt_values(data.sine_lengths.tolist())}")
@@ -519,6 +523,10 @@ def main(argv=None) -> int:
     except GsvdKitError as exc:
         print(f"gsvdkit {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except np.linalg.LinAlgError as exc:
+        # LAPACK reported a failure; LinAlgError subclasses ValueError
+        print(f"gsvdkit {args.command}: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, OSError) as exc:
         print(f"gsvdkit {args.command}: {exc}", file=sys.stderr)
         return 2

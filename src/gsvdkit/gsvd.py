@@ -137,10 +137,8 @@ class GsvdFactors:
         return out
 
     def c_matrix(self) -> np.ndarray:
-        rows = self.u.shape[1]
-        cm = np.zeros((rows, self.r))
-        k = min(rows, self.r)
-        cm[np.arange(k), np.arange(k)] = self.c[:k]
+        cm = np.zeros((self.u.shape[1], self.r))
+        np.fill_diagonal(cm, self.c)
         return cm
 
     def s_matrix(self) -> np.ndarray:
@@ -407,11 +405,13 @@ def _lifted(qr_a, u_r: np.ndarray, w: np.ndarray, compact: bool):
 # An m x n stacked pair with m * n * min(m, n) below this, the order of
 # the flops of its QR and of each singular-value pass, decomposes on the
 # caller's thread alone.  Starting the helper costs 0.5-1 ms.  On a
-# 2-core host with one BLAS thread and the second core idle, the
-# overlapped route took 0.61 to 0.78 times the serial time from 4.9e6 to
-# 2.2e7 (0.81 to 0.99 on pairs over ten times taller than wide), and a
-# mixed 0.61 to 1.15 from 2.5e5 to 4e6.  With the second core busy it
-# took 0.84 to 1.05 times it from 3e6 up, and 1.08 to 1.34 below 2e6.
+# 2-core host with one BLAS thread (best of 15 in two alternating rounds)
+# and the second core idle, the overlapped route took 0.58 to 0.68 times
+# the serial time from 4.8e7 to 1.4e9, but it is not a gain everywhere
+# below: from 7.9e6 to 2.6e7 a mixed 0.67 to 1.07, with the three pairs
+# 200 wide (1.6e7 to 2.2e7, one of them 2000/199 x 200) at 1.02 to 1.07,
+# and from 2.5e5 to 2.5e6 a mixed 0.73 to 1.08.  With a busy loop on the
+# second core it took 0.78 to 0.87 times it from 1e6 to 1.4e9.
 _HELPER_MIN_WORK = 5 * 10**6
 
 

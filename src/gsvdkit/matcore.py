@@ -242,7 +242,7 @@ def _householder(x: np.ndarray):
     # overwritten.
     refl, t, info = lapack.dgeqrt(min(x.shape[1], _QR_BLOCK), x)
     if info != 0:
-        raise ValueError(f"Householder QR failed: LAPACK info {info}")
+        raise np.linalg.LinAlgError(f"Householder QR failed: LAPACK info {info}")
     return refl, t
 
 
@@ -255,7 +255,7 @@ def _apply_q(qr, x: np.ndarray, *blocks: slice) -> np.ndarray:
         if x[:, block].shape[1]:
             x[:, block], info = lapack.dgemqrt(*qr, x[:, block], overwrite_c=1)
             if info != 0:
-                raise ValueError(f"Householder QR failed: LAPACK info {info}")
+                raise np.linalg.LinAlgError(f"Householder QR failed: LAPACK info {info}")
     return x
 
 

@@ -106,25 +106,20 @@ def trig_table(f: GsvdFactors, a, b) -> TrigTable:
     a, b = _check_pair(f, a, b)
     hdag = _h_pinv(f)
     rows = []
+    for name, x, values in (("cos", a, f.c), ("sin", b, f.s)):
+        sv = matcore._svdvals(x @ hdag)
+        rows.append(TrigRow(name, True, values.copy(), sv, _compare(values, sv)))
 
-    cos_sv = matcore._svdvals(a @ hdag)
-    sin_sv = matcore._svdvals(b @ hdag)
-    rows.append(TrigRow("cos", True, f.c.copy(), cos_sv, _compare(f.c, cos_sv)))
-    rows.append(TrigRow("sin", True, f.s.copy(), sin_sv, _compare(f.s, sin_sv)))
-
-    if f.r == f.r_a:
-        tan_sv = matcore._svdvals(b @ matcore._svd_pinv(*matcore._svd(a), f.r_a))
-        tans = f.s[f.c > 0] / f.c[f.c > 0]
-        rows.append(TrigRow("tan", True, tans, tan_sv, _compare(tans, tan_sv)))
-    else:
-        rows.append(TrigRow("tan", False, note=f"needs r = r_a, have r = {f.r}, r_a = {f.r_a}"))
-
-    if f.r == f.r_b:
-        cot_sv = matcore._svdvals(a @ matcore._svd_pinv(*matcore._svd(b), f.r_b))
-        cots = f.cotangents()[f.s > 0]
-        rows.append(TrigRow("cot", True, cots, cot_sv, _compare(cots, cot_sv)))
-    else:
-        rows.append(TrigRow("cot", False, note=f"needs r = r_b, have r = {f.r}, r_b = {f.r_b}"))
+    # name, X, Y, Y's rank: svd(X Y^+) against top / bottom where bottom > 0
+    for name, x, y, rank_name, rank, top, bottom in (
+            ("tan", b, a, "r_a", f.r_a, f.s, f.c), ("cot", a, b, "r_b", f.r_b, f.c, f.s)):
+        if f.r != rank:
+            rows.append(TrigRow(name, False, note=(
+                f"needs r = {rank_name}, have r = {f.r}, {rank_name} = {rank}")))
+            continue
+        sv = matcore._svdvals(x @ matcore._svd_pinv(*matcore._svd(y), rank))
+        values = top[bottom > 0] / bottom[bottom > 0]
+        rows.append(TrigRow(name, True, values, sv, _compare(values, sv)))
 
     return TrigTable(rows=tuple(rows))
 

@@ -104,11 +104,7 @@ def cluster_design(partition) -> ClusterDesign:
         )
     k = len(parts)
     p = sum(parts)
-    indicator = np.zeros((p, k))
-    row = 0
-    for j, size in enumerate(parts):
-        indicator[row:row + size, j] = 1.0
-        row += size
+    indicator = np.repeat(np.eye(k), parts, axis=0)
     y1 = indicator / np.sqrt(np.array(parts, dtype=float))
     constraint = np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))])
     f = gsvd.gsvd_decompose(indicator, constraint)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsvdkit import cli, gsvd, jacobi, stats, subgeom, tikhonov
+from gsvdkit import cli, gsvd, jacobi, matcore, stats, subgeom, tikhonov
 from gsvdkit.matcore import Tolerance
 
 from conftest import random_pair
@@ -245,6 +245,18 @@ class TestVerifyCommand:
         cli.main(["gsvd", a, b, "--json", out])
         assert cli.main(["verify", a, b, out]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"x", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["not JSON", "not UTF-8"])
+    def test_unreadable_document_names_the_file_exit_2(self, worked_example, tmp_path, capsys,
+                                                         content, reason):
+        a, b = worked_example
+        doc = tmp_path / "factors.json"
+        doc.write_bytes(content)
+        assert cli.main(["verify", a, b, str(doc)]) == 2
+        assert capsys.readouterr().err == f"gsvdkit verify: {doc}: {reason}\n"
 
     def test_document_round_trip_exact(self, worked_example, tmp_path):
         from gsvdkit import gsvd
@@ -702,6 +714,37 @@ class TestEllipseCommand:
                                    atol=1e-12)
         assert len(doc["cosine_boundary"]) == 64
 
+    @pytest.mark.parametrize("m1, m2, n", [(30, 2500, 30), (12, 15, 4)])
+    def test_reads_compact_factors(self, tmp_path, monkeypatch, capsys, m1, m2, n):
+        # No m1 x m1 U or m2 x m2 V is formed (on 30/2500 x 30 a full V is
+        # 2500 x 2500), and stdout and the document are those the full
+        # factors give.
+        rng = np.random.default_rng(7)
+        pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        cli.write_matrix(pa, rng.standard_normal((m1, n)))
+        cli.write_matrix(pb, rng.standard_normal((m2, n)))
+        ellipse_data, decompose = subgeom.ellipse_data, gsvd.gsvd_decompose
+        shapes = []
+
+        def spy(f):
+            shapes.append((f.u.shape, f.v.shape, (m1, f.r_a), (m2, f.r_b)))
+            return ellipse_data(f)
+
+        def run(name):
+            out = tmp_path / name
+            assert cli.main(["ellipse", pa, pb, "--json", str(out)]) == 0
+            return capsys.readouterr().out, out.read_bytes()
+
+        monkeypatch.setattr(subgeom, "ellipse_data", spy)
+        got = run("compact.json")
+        (u_shape, v_shape, *want), = shapes
+        assert [u_shape, v_shape] == want
+        # the same command from the full factors
+        monkeypatch.setattr(gsvd, "gsvd_decompose",
+                            lambda a, b, tol, compact=False: decompose(a, b, tol))
+        assert run("full.json") == got
+        assert shapes[1][:2] == ((m1, m1), (m2, m2))
+
     def test_equal_pair_circles(self, tmp_path):
         a = write_csv(tmp_path / "i1.csv", np.eye(2).tolist())
         b = write_csv(tmp_path / "i2.csv", np.eye(2).tolist())
@@ -873,6 +916,19 @@ class TestReadMatrix:
         assert capsys.readouterr().err == (
             f"gsvdkit gsvd: {bad}:2: field larger than field limit (131072)\n")
 
+    def test_not_utf8_names_the_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n\xff,4\n")
+        assert cli.main(["gsvd", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"gsvdkit gsvd: {bad}: 'utf-8' codec can't decode byte 0xff in position 4: "
+            "invalid start byte\n")
+
+    def test_missing_file_named_once_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gsvd", "missing.csv", "missing.csv"]) == 2
+        assert capsys.readouterr().err == "gsvdkit gsvd: missing.csv: No such file or directory\n"
+
 
 class TestPartitionEdges:
     def test_anova_on_a_matrix_exit_3(self, tmp_path):
@@ -939,6 +995,19 @@ class TestTallPair:
         cli.write_matrix(pb, rng.standard_normal((5, 8)))
         assert cli.main(["gsvd", pa, pb, *flags, "--json", out]) == 0
         assert cli.main(["verify", pa, pb, out]) == 0
+
+
+class TestNumericFailure:
+    # LinAlgError subclasses ValueError, the parse class; a failure LAPACK
+    # reports is a numeric one and exits 5.
+    def test_lapack_failure_exit_5(self, worked_example, monkeypatch, capsys):
+        def fail(x):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(matcore, "_svdvals", fail)
+        a, b = worked_example
+        assert cli.main(["gsvd", a, b]) == 5
+        assert capsys.readouterr().err == "gsvdkit gsvd: SVD did not converge\n"
 
 
 class TestProcessEntry:

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -274,6 +275,21 @@ class TestHelpers:
 
     def test_complete_basis_empty(self):
         np.testing.assert_allclose(matcore.complete_basis(np.zeros((4, 0))), np.eye(4))
+
+    @pytest.mark.parametrize("routine", ["dgeqrt", "dgemqrt"])
+    def test_householder_lapack_failure_is_linalgerror(self, rng, monkeypatch, routine):
+        # A nonzero info from LAPACK is a numeric failure, which the command
+        # line maps to exit 5, not a ValueError's exit 2.
+        lapack = matcore.lapack
+
+        def failing(*args, **kwargs):
+            return (*getattr(lapack, routine)(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(matcore, "lapack", SimpleNamespace(
+            **{"dgeqrt": lapack.dgeqrt, "dgemqrt": lapack.dgemqrt, routine: failing}))
+        x = rng.standard_normal((6, 3))
+        with pytest.raises(np.linalg.LinAlgError, match="LAPACK info 1"):
+            matcore._apply_q(matcore._householder(x), np.eye(6))
 
 
 def _laid_out(rng, shape, layout):
