@@ -42,7 +42,8 @@ _ELLIPSE_SAMPLES = 64
 def read_matrix(path: str, header: bool = False) -> np.ndarray:
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig skips the byte-order mark spreadsheet programs write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             if header:
                 next(reader, None)
@@ -62,8 +63,6 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
                         f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(row)}"
                     )
                 rows.append(row)
-    except OSError as exc:
-        raise CsvParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
     except csv.Error as exc:
@@ -234,6 +233,11 @@ def cmd_gsvd(args) -> int:
     # With --json the document holds the derived keys and is printed from;
     # without it, U, V and H are never made into lists.
     doc = factors_to_document(f, tol, args.convention) if args.json else _derived_keys(f)
+    if args.json:
+        _write_json(args.json, doc)
+    if args.csv_prefix:
+        for name, m in zip("UVCSH", (f.u, f.v, f.c_matrix(), f.s_matrix(), f.h)):
+            write_matrix(f"{args.csv_prefix}_{name}.csv", m)
     print(f"m1={f.m1} m2={f.m2} n={f.n}  r={f.r} ra={f.r_a} rb={f.r_b}")
     c = doc["structure"]
     print(
@@ -242,21 +246,13 @@ def cmd_gsvd(args) -> int:
     )
     print(f"generalized values: {_fmt_values(doc['generalized_values'])}")
     print(f"angles: {_fmt_values(doc['angles'])}")
-    if args.json:
-        _write_json(args.json, doc)
-    if args.csv_prefix:
-        write_matrix(args.csv_prefix + "_U.csv", f.u)
-        write_matrix(args.csv_prefix + "_V.csv", f.v)
-        write_matrix(args.csv_prefix + "_C.csv", f.c_matrix())
-        write_matrix(args.csv_prefix + "_S.csv", f.s_matrix())
-        write_matrix(args.csv_prefix + "_H.csv", f.h)
     return 0
 
 
 def cmd_verify(args) -> int:
     a = read_matrix(args.a, args.header)
     b = read_matrix(args.b, args.header)
-    with open(args.json, encoding="utf-8") as fh:
+    with open(args.json, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
@@ -328,17 +324,15 @@ def cmd_tikhonov(args) -> int:
     b = read_vector(args.b, args.header)
     lambdas = _parse_list(args.lambdas, "--lambdas", lambda x: tikhonov._check_lambda(float(x)))
     problem = tikhonov.TikhonovProblem(a, l, b)
-    path = tikhonov.solve_path(problem, lambdas)
-    print(f"{'lambda':>12} {'||x||':>18}")
-    for lam, x, _ in path:
-        print(f"{lam:>12g} {float(np.linalg.norm(x)):>18.12g}")
+    path = [(lam, x, damp, float(np.linalg.norm(x)))
+            for lam, x, damp in tikhonov.solve_path(problem, lambdas)]
     if args.json:
-        _write_json(args.json, {"solutions": [{
-            "lambda": lam,
-            "x": x.tolist(),
-            "damping": damp.tolist(),
-            "x_norm": float(np.linalg.norm(x)),
-        } for lam, x, damp in path]})
+        _write_json(args.json, {"solutions": [
+            {"lambda": lam, "x": x.tolist(), "damping": damp.tolist(), "x_norm": norm}
+            for lam, x, damp, norm in path]})
+    print(f"{'lambda':>12} {'||x||':>18}")
+    for lam, _, _, norm in path:
+        print(f"{lam:>12g} {norm:>18.12g}")
     return 0
 
 
@@ -357,21 +351,17 @@ def cmd_ellipse(args) -> int:
     b = read_matrix(args.b, args.header)
     f = gsvd.gsvd_decompose(a, b, Tolerance(rel=args.tol), compact=True)
     data = subgeom.ellipse_data(f)
-    print(f"cosine semi-axis lengths: {_fmt_values(data.cosine_lengths.tolist())}")
-    print(f"sine semi-axis lengths:   {_fmt_values(data.sine_lengths.tolist())}")
-    print(f"angles: {_fmt_values(data.angles.tolist())}")
     if args.json:
         _write_json(args.json, {
-            "cosine_lengths": data.cosine_lengths.tolist(),
-            "cosine_directions": data.cosine_directions.tolist(),
-            "sine_lengths": data.sine_lengths.tolist(),
-            "sine_directions": data.sine_directions.tolist(),
-            "sphere_points": data.sphere_points.tolist(),
-            "angles": data.angles.tolist(),
+            **{field.name: getattr(data, field.name).tolist()
+               for field in dataclasses.fields(data)},
             "cosine_boundary": _ellipse_boundary(data.cosine_lengths, data.cosine_directions),
             "sine_boundary": _ellipse_boundary(data.sine_lengths[::-1],
                                                data.sine_directions[:, ::-1]),
         })
+    print(f"cosine semi-axis lengths: {_fmt_values(data.cosine_lengths.tolist())}")
+    print(f"sine semi-axis lengths:   {_fmt_values(data.sine_lengths.tolist())}")
+    print(f"angles: {_fmt_values(data.angles.tolist())}")
     return 0
 
 
@@ -413,14 +403,14 @@ def cmd_jacobi(args) -> int:
     params = jacobi.JacobiParams(m1=args.m1, m2=args.m2, n=args.n, beta=args.beta)
     rng = jacobi.SeededRng(seed=args.seed)
     report = jacobi.empirical_check(params, args.samples, rng)
+    if args.out:
+        write_matrix(args.out, report.draws)
     print(f"samples={report.n_samples} beta={report.beta} "
           f"(m1={report.m1}, m2={report.m2}, n={report.n})")
     print(f"mean eigenvalue sum: {report.mean_sum!r} (se {report.se_sum!r})")
     if report.ks_distance is not None:
         print(f"KS distance to Beta CDF: {report.ks_distance!r}")
     print(f"split-half gap: {report.half_gap_z!r} standard errors")
-    if args.out:
-        write_matrix(args.out, report.draws)
     return 0
 
 
@@ -453,41 +443,41 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the first row of every CSV input")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gsvd", help="factor a pair of CSV matrices")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--tol", type=float, default=None, metavar="REAL",
-                   help="relative rank tolerance (default max(m,n)*eps)")
+    # Arguments more than one subcommand takes, each declared once
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("a")
+    pair.add_argument("b")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, metavar="REAL",
+                     help="relative rank tolerance (default max(m,n)*eps)")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", metavar="OUT")
+    clustered = argparse.ArgumentParser(add_help=False)
+    clustered.add_argument("data")
+    clustered.add_argument("--partition", required=True, metavar="CSV-LIST")
+
+    p = sub.add_parser("gsvd", parents=[pair, tol, json_out], help="factor a pair of CSV matrices")
     p.add_argument("--convention", choices=("bottom", "top"), default="bottom")
     p.add_argument("--compact", action="store_true")
-    p.add_argument("--json", metavar="OUT")
     p.add_argument("--csv-prefix", metavar="OUT")
     p.set_defaults(func=cmd_gsvd)
 
-    p = sub.add_parser("verify", help="check a factors JSON against the inputs")
-    p.add_argument("a")
-    p.add_argument("b")
+    p = sub.add_parser("verify", parents=[pair], help="check a factors JSON against the inputs")
     p.add_argument("json")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("tikhonov", help="regularization path for (A, L, b)")
+    p = sub.add_parser("tikhonov", parents=[json_out], help="regularization path for (A, L, b)")
     p.add_argument("a")
     p.add_argument("l")
     p.add_argument("b")
     p.add_argument("--lambdas", default="0,1", metavar="CSV-LIST")
-    p.add_argument("--json", metavar="OUT")
     p.set_defaults(func=cmd_tikhonov)
 
-    p = sub.add_parser("anova", help="one-way ANOVA F statistic")
-    p.add_argument("data")
-    p.add_argument("--partition", required=True, metavar="CSV-LIST")
+    p = sub.add_parser("anova", parents=[clustered], help="one-way ANOVA F statistic")
     p.set_defaults(func=cmd_anova)
 
-    p = sub.add_parser("ellipse", help="plot data for the cosine/sine ellipses")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--tol", type=float, default=None, metavar="REAL")
-    p.add_argument("--json", metavar="OUT")
+    p = sub.add_parser("ellipse", parents=[pair, tol, json_out],
+                       help="plot data for the cosine/sine ellipses")
     p.set_defaults(func=cmd_ellipse)
 
     p = sub.add_parser("angles", help="principal angles between two column spaces")
@@ -495,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a2")
     p.set_defaults(func=cmd_angles)
 
-    p = sub.add_parser("reduce", help="discriminant reduction of clustered data")
-    p.add_argument("data")
-    p.add_argument("--partition", required=True, metavar="CSV-LIST")
+    p = sub.add_parser("reduce", parents=[clustered],
+                       help="discriminant reduction of clustered data")
     p.add_argument("--out", required=True, metavar="MG.csv")
     p.add_argument("--g-out", metavar="G.csv")
     p.set_defaults(func=cmd_reduce)
@@ -528,6 +517,9 @@ def main(argv=None) -> int:
         print(f"gsvdkit {args.command}: {exc}", file=sys.stderr)
         return 5
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # a file error names its file once, as <path>: <reason>
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"gsvdkit {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

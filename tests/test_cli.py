@@ -1035,3 +1035,93 @@ class TestProcessEntry:
         doctored = self.run("verify", a, b, out)
         assert doctored.returncode == 5
         assert "verify: FAIL" in doctored.stderr
+
+
+class TestByteOrderMark:
+    # Spreadsheet programs save "CSV UTF-8" files with a UTF-8 byte-order
+    # mark; the mark is skipped, in CSV inputs and in `verify` documents.
+    def test_csv_reads_as_without_the_mark(self, worked_example, tmp_path, capsys):
+        a, b = worked_example
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(a).read_bytes())
+        assert cli.main(["gsvd", a, b]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["gsvd", str(marked), b]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_document_passes_verify(self, worked_example, tmp_path, capsys):
+        a, b = worked_example
+        out = tmp_path / "factors.json"
+        assert cli.main(["gsvd", a, b, "--json", str(out)]) == 0
+        out.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        capsys.readouterr()
+        assert cli.main(["verify", a, b, str(out)]) == 0
+        assert capsys.readouterr().out.endswith("verify: OK\n")
+
+
+class TestFileErrors:
+    # Every file error reads `<path>: <reason>`, and a command that cannot
+    # write its files prints no summary.
+    @pytest.fixture
+    def inputs(self, worked_example, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "ta.csv", [[1, 0], [0, 1], [1, 1]])
+        write_csv(tmp_path / "tl.csv", [[1, -1]])
+        write_csv(tmp_path / "tb.csv", [[1], [2], [3]])
+        return worked_example
+
+    @pytest.mark.parametrize("argv, path", [
+        (["gsvd", "a.csv", "b.csv", "--json", "nodir/f.json"], "nodir/f.json"),
+        (["gsvd", "a.csv", "b.csv", "--csv-prefix", "nodir/f"], "nodir/f_U.csv"),
+        (["ellipse", "a.csv", "b.csv", "--json", "nodir/e.json"], "nodir/e.json"),
+        (["tikhonov", "ta.csv", "tl.csv", "tb.csv", "--json", "nodir/t.json"], "nodir/t.json"),
+        (["jacobi", "--m1", "3", "--m2", "5", "--n", "1", "--samples", "1000",
+          "--out", "nodir/s.csv"], "nodir/s.csv"),
+    ], ids=["gsvd --json", "gsvd --csv-prefix", "ellipse --json", "tikhonov --json",
+            "jacobi --out"])
+    def test_unwritable_output_prints_no_summary_exit_2(self, inputs, capsys, argv, path):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gsvdkit {argv[0]}: {path}: No such file or directory\n"
+
+    def test_missing_document_named_once_exit_2(self, inputs, capsys):
+        assert cli.main(["verify", "a.csv", "b.csv", "missing.json"]) == 2
+        assert capsys.readouterr().err == (
+            "gsvdkit verify: missing.json: No such file or directory\n")
+
+    def test_read_matrix_lets_a_missing_file_through(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            cli.read_matrix(str(tmp_path / "missing.csv"))
+
+
+class TestSharedFlags:
+    def test_ellipse_tol_has_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["ellipse", "--help"])
+        assert "relative rank tolerance" in capsys.readouterr().out
+
+    def test_ellipse_document_key_order(self, tmp_path):
+        # The document as written with its keys listed one by one: the
+        # EllipseData fields in order, then the two boundaries.
+        rng = np.random.default_rng(11)
+        pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        cli.write_matrix(pa, rng.standard_normal((5, 3)))
+        cli.write_matrix(pb, rng.standard_normal((4, 3)))
+        out, want = tmp_path / "e.json", tmp_path / "want.json"
+        assert cli.main(["ellipse", pa, pb, "--json", str(out)]) == 0
+        data = subgeom.ellipse_data(gsvd.gsvd_decompose(
+            cli.read_matrix(pa), cli.read_matrix(pb), Tolerance(), compact=True))
+        cli._write_json(str(want), {
+            "cosine_lengths": data.cosine_lengths.tolist(),
+            "cosine_directions": data.cosine_directions.tolist(),
+            "sine_lengths": data.sine_lengths.tolist(),
+            "sine_directions": data.sine_directions.tolist(),
+            "sphere_points": data.sphere_points.tolist(),
+            "angles": data.angles.tolist(),
+            "cosine_boundary": cli._ellipse_boundary(data.cosine_lengths,
+                                                     data.cosine_directions),
+            "sine_boundary": cli._ellipse_boundary(data.sine_lengths[::-1],
+                                                   data.sine_directions[:, ::-1]),
+        })
+        assert out.read_bytes() == want.read_bytes()
