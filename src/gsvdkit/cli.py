@@ -445,32 +445,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Arguments more than one subcommand takes, each declared once
     pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("a")
-    pair.add_argument("b")
+    pair.add_argument("a", help="CSV of A, the top matrix of the pair")
+    pair.add_argument("b", help="CSV of B, the bottom matrix, with A's column count")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None, metavar="REAL",
                      help="relative rank tolerance (default max(m,n)*eps)")
     json_out = argparse.ArgumentParser(add_help=False)
-    json_out.add_argument("--json", metavar="OUT")
+    json_out.add_argument("--json", metavar="OUT", help="also write the results to OUT as JSON")
     clustered = argparse.ArgumentParser(add_help=False)
-    clustered.add_argument("data")
-    clustered.add_argument("--partition", required=True, metavar="CSV-LIST")
+    clustered.add_argument("data", help="CSV of the observations, grouped by cluster")
+    clustered.add_argument("--partition", required=True, metavar="CSV-LIST",
+                           help="the cluster sizes in data order, such as 3,3,3")
 
     p = sub.add_parser("gsvd", parents=[pair, tol, json_out], help="factor a pair of CSV matrices")
-    p.add_argument("--convention", choices=("bottom", "top"), default="bottom")
-    p.add_argument("--compact", action="store_true")
-    p.add_argument("--csv-prefix", metavar="OUT")
+    p.add_argument("--convention", choices=("bottom", "top"), default="bottom",
+                   help="put V's nonzero-sine columns last (bottom, the default) or first")
+    p.add_argument("--compact", action="store_true",
+                   help="keep only U's ra and V's rb columns, those of nonzero c and s")
+    p.add_argument("--csv-prefix", metavar="OUT",
+                   help="also write U, V, C, S and H to OUT_U.csv ... OUT_H.csv")
     p.set_defaults(func=cmd_gsvd)
 
     p = sub.add_parser("verify", parents=[pair], help="check a factors JSON against the inputs")
-    p.add_argument("json")
+    p.add_argument("json", help="the factors document gsvd --json wrote")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tikhonov", parents=[json_out], help="regularization path for (A, L, b)")
-    p.add_argument("a")
-    p.add_argument("l")
-    p.add_argument("b")
-    p.add_argument("--lambdas", default="0,1", metavar="CSV-LIST")
+    p.add_argument("a", help="CSV of A, the system matrix")
+    p.add_argument("l", help="CSV of L, the regularization operator, with A's column count")
+    p.add_argument("b", help="CSV of b, the right-hand side, one row or one column")
+    p.add_argument("--lambdas", default="0,1", metavar="CSV-LIST",
+                   help="the regularization parameters to solve at (default 0,1)")
     p.set_defaults(func=cmd_tikhonov)
 
     p = sub.add_parser("anova", parents=[clustered], help="one-way ANOVA F statistic")
@@ -481,24 +486,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ellipse)
 
     p = sub.add_parser("angles", help="principal angles between two column spaces")
-    p.add_argument("a1")
-    p.add_argument("a2")
+    p.add_argument("a1", help="CSV of A1, whose columns span the first subspace")
+    p.add_argument("a2", help="CSV of A2, whose columns span the second, with A1's row count")
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("reduce", parents=[clustered],
                        help="discriminant reduction of clustered data")
-    p.add_argument("--out", required=True, metavar="MG.csv")
-    p.add_argument("--g-out", metavar="G.csv")
+    p.add_argument("--out", required=True, metavar="MG.csv",
+                   help="write the reduced data M G here")
+    p.add_argument("--g-out", metavar="G.csv", help="also write the reduction matrix G here")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("jacobi", help="MANOVA sampling and ensemble checks")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", metavar="SAMPLES.csv")
+    p.add_argument("--m1", type=int, required=True, help="rows of the Gaussian A")
+    p.add_argument("--m2", type=int, required=True, help="rows of the Gaussian B")
+    p.add_argument("--n", type=int, required=True,
+                   help="columns of A and B, the eigenvalues per sample")
+    p.add_argument("--beta", type=float, default=1.0,
+                   help="Dyson index: 1 real, 2 complex (default 1)")
+    p.add_argument("--samples", type=int, default=10000,
+                   help="samples to draw, at least 1000 (default 10000)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--out", metavar="SAMPLES.csv",
+                   help="also write the sampled eigenvalues here, one sample per row")
     p.set_defaults(func=cmd_jacobi)
 
     return parser

@@ -281,7 +281,9 @@ def gsvd_decompose(a, b, tol: Tolerance = Tolerance(), *, compact: bool = False)
     """
     if not isinstance(tol, Tolerance):
         raise DomainError(f"tol must be a Tolerance, got {tol!r}")
-    return _decompose(as_matrix(a), as_matrix(b), tol, compact=compact)[0]
+    if not isinstance(compact, (bool, np.bool_)):
+        raise DomainError(f"compact must be True or False, got {compact!r}")
+    return _decompose(as_matrix(a), as_matrix(b), tol, compact=bool(compact))[0]
 
 
 def _decompose(a: np.ndarray, b: np.ndarray, tol: Tolerance, *, compact: bool = False):

@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import json
 import os
@@ -245,6 +246,16 @@ class TestVerifyCommand:
         cli.main(["gsvd", a, b, "--json", out])
         assert cli.main(["verify", a, b, out]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_numpy_boolean_compact_round_trip(self, worked_example, tmp_path):
+        # compact=np.True_ is stored as True, so the document holds a JSON
+        # boolean that verify accepts
+        a, b = worked_example
+        f = gsvd.gsvd_decompose(cli.read_matrix(a), cli.read_matrix(b), compact=np.True_)
+        assert f.compact is True
+        out = str(tmp_path / "factors.json")
+        cli._write_json(out, cli.factors_to_document(f, Tolerance(), "bottom"))
+        assert cli.main(["verify", a, b, out]) == 0
 
     @pytest.mark.parametrize("content, reason", [
         (b"x", "Expecting value: line 1 column 1 (char 0)"),
@@ -1125,3 +1136,18 @@ class TestSharedFlags:
                                                    data.sine_directions[:, ::-1]),
         })
         assert out.read_bytes() == want.read_bytes()
+
+
+class TestHelpText:
+    def test_every_argument_has_help(self):
+        # each argument of the top-level parser and of every subcommand
+        # says in --help what it is
+        parser = cli.build_parser()
+        sub = next(x for x in parser._actions if isinstance(x, argparse._SubParsersAction))
+        missing = [f"{name} {action.dest}"
+                   for name, p in [("gsvdkit", parser), *sub.choices.items()]
+                   for action in p._actions
+                   if not isinstance(action, (argparse._HelpAction,
+                                              argparse._SubParsersAction))
+                   and not action.help]
+        assert missing == []

@@ -136,6 +136,12 @@ CASES = [
     ("gsvd_decompose float tol", lambda: gsvd.gsvd_decompose(
         np.diag([3.0, 4.0]), np.ones((1, 2)), 1e-3),
      DomainError, "tol must be a Tolerance, got 0.001"),
+    ("gsvd_decompose string compact", lambda: gsvd.gsvd_decompose(*_PAIR, compact="no"),
+     DomainError, "compact must be True or False, got 'no'"),
+    ("gsvd_decompose None compact", lambda: gsvd.gsvd_decompose(*_PAIR, compact=None),
+     DomainError, "compact must be True or False, got None"),
+    ("gsvd_decompose integer compact", lambda: gsvd.gsvd_decompose(*_PAIR, compact=0),
+     DomainError, "compact must be True or False, got 0"),
     ("as_vector string", lambda: matcore.as_vector("abc"),
      DomainError, "expected an array of real numbers, got str"),
     ("energy_point string e", lambda: subgeom.energy_point(np.eye(2), "ab"),

@@ -900,6 +900,25 @@ class TestHelperRule:
         monkeypatch.setattr(gsvd, "_BLAS_PREFIXES", prefixes)
         assert gsvd._blas_threads() is None
 
+    def test_no_count_without_dl_iterate_phdr(self, monkeypatch):
+        # a C library with no dl_iterate_phdr lists no shared objects
+        monkeypatch.setattr(gsvd.ctypes, "CDLL", lambda *args, **kwargs: object())
+        assert gsvd._blas_threads() is None
+
+    def test_no_count_when_a_listed_blas_cannot_be_reopened(self, monkeypatch):
+        # a BLAS unloaded between the listing and the RTLD_NOLOAD open
+        if gsvd._blas_threads() is None:
+            pytest.skip("no loaded BLAS reports its thread count here")
+        cdll = gsvd.ctypes.CDLL
+
+        def reopen(name, *args, **kwargs):
+            if name is not None:
+                raise OSError(f"{name!r}: cannot open shared object file")
+            return cdll(name, *args, **kwargs)
+
+        monkeypatch.setattr(gsvd.ctypes, "CDLL", reopen)
+        assert gsvd._blas_threads() is None
+
 
 TALL_A_CASES = {
     "gaussian": lambda rng: (rng.standard_normal((40, 10)), rng.standard_normal((5, 10))),

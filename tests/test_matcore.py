@@ -326,6 +326,13 @@ class TestSvdvals:
             matcore._svdvals(x)
         assert str(got.value) == str(want.value)
 
+    def test_unexpected_capsule_signature_raises_import_error(self, monkeypatch):
+        # dgesvd's capsule has a different argument list from dgesdd's
+        capi = matcore.cython_lapack.__pyx_capi__
+        monkeypatch.setitem(capi, "dgesdd", capi["dgesvd"])
+        with pytest.raises(ImportError, match="SciPy's dgesdd has an unexpected signature: "):
+            matcore._capsule_dgesdd()
+
     def test_releases_the_interpreter_lock(self, rng):
         # With a switch interval far longer than the call, the caller is
         # never asked to drop the lock, so the spinner advances during a call

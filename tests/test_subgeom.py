@@ -148,6 +148,18 @@ class TestPrincipalAngles:
         result = subgeom.principal_angles(np.eye(4)[:, :2], np.eye(4)[:, 2:])
         np.testing.assert_array_equal(result.angles, np.full(2, np.pi / 2))
 
+    def test_cosines_disagreeing_with_the_reference_raise(self, rng, monkeypatch):
+        # reference values svd(Y'Q1) halved on their way out of the GSVD
+        decompose = gsvd._decompose
+
+        def halved(*args, **kwargs):
+            f, sv_top = decompose(*args, **kwargs)
+            return f, sv_top / 2
+
+        monkeypatch.setattr(gsvd, "_decompose", halved)
+        with pytest.raises(NumericalCheckFailed, match=r"differ by \S+ > 1e-9"):
+            subgeom.principal_angles(rng.standard_normal((6, 2)), rng.standard_normal((6, 3)))
+
 
 def assert_matches_svd_route(a1, a2):
     # the cosines against svd(Q1' Y) on the library's own bases, so both
